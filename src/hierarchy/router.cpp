@@ -124,7 +124,7 @@ RouteOutcome Router::route(const NodePath& dest, const RouteOptions& opts,
       continue;
     }
 
-    // Overlay forwarding (Algorithm 3): pos is a sibling of the on-path node
+    // Overlay forwarding: pos is a sibling of the on-path node
     // v_i at level i = |pos|; forward toward OD = v_i inside S_i.
     const std::size_t i = pos.size();
     const ids::RingIndex od = dest[i - 1];

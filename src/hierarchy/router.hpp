@@ -3,7 +3,7 @@
 //
 //   [ ... v_{i-2} -> S_{i-1} -> S_i(v_i) -> v_{i+1} ... ]
 //
-// implemented on top of Overlay::forward (Algorithm 3) and Algorithm 2's
+// implemented on top of Overlay::forward (overlay/algorithm3.hpp) and Algorithm 2's
 // per-node rules:
 //   * at an alive ancestor of the destination, forward to the on-path child;
 //     if that child is dead, enter the child overlay at an alive child and

@@ -3,21 +3,9 @@
 //
 // The Overlay owns the ring membership (indices 0..N-1), per-node liveness
 // and behavior, and the routing tables (stored eagerly, or regenerated on
-// demand for multi-million-node rings). Forwarding is implemented exactly as
-// Algorithm 3:
-//
-//   at each node, in order:
-//     1. if the overlay-destination (OD) is in the routing table:
-//        hop to it if alive, else exit through an alive nephew pointer of
-//        that entry (inter-overlay exit);
-//     2. forward mode: greedy — hop to the alive sibling pointer closest to
-//        the OD; if the node itself is closest, flip the query to backward
-//        mode;
-//     3. backward mode: hop to the closest alive counter-clockwise neighbor
-//        (maintained by ring repair / active recovery).
-//
-// The base design has no backward mode: a query that cannot make clockwise
-// progress fails, which is precisely the vulnerability Section 4 fixes.
+// demand for multi-million-node rings). Each forwarding step is one
+// algorithm3::decide() (overlay/algorithm3.hpp) that takes the first alive
+// candidate.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +43,8 @@ struct ForwardOptions {
   bool record_path = false;
   /// Ring index of the next-level OD within the OD's child overlay, used to
   /// pick the nephew "closest in the ID space to the next level OD-node"
-  /// (Section 3.3). Unset: the first alive nephew is taken.
+  /// (Section 3.3). Distances are taken in the child ring, whose size is
+  /// child_alive's; without both, the first alive nephew is taken.
   std::optional<ids::RingIndex> next_od;
   /// Liveness of the OD's children (indexed by child ring index); unset
   /// means all children alive.
@@ -121,7 +110,8 @@ class Overlay {
   void reseed(std::uint64_t new_seed);
 
   // -- forwarding --------------------------------------------------------------
-  /// Runs Algorithm 3 from `entrance` toward overlay-destination `od`.
+  /// Forwards from `entrance` toward overlay-destination `od`, one
+  /// algorithm3::decide() per hop.
   /// `entrance` must be alive.
   [[nodiscard]] ForwardResult forward(ids::RingIndex entrance, ids::RingIndex od,
                                       const ForwardOptions& opts = {}) const;
@@ -136,18 +126,13 @@ class Overlay {
   struct Step {
     enum class Kind : std::uint8_t { kHop, kNephewExit, kStuck } kind = Kind::kStuck;
     ids::RingIndex target = 0;       // next node (kHop) or exit nephew (kNephewExit)
-    bool entered_backward = false;   // this step flipped the query to backward mode
     bool backward_move = false;      // this hop travels counter-clockwise
     std::uint32_t failed_probes = 0;
   };
 
-  /// One Algorithm-3 decision at `node`; `backward` is the query's mode bit.
-  [[nodiscard]] Step decide(ids::RingIndex node, ids::RingIndex od, bool backward,
+  /// One forwarding decision at `node`; `backward` is the query's mode bit.
+  [[nodiscard]] Step decide(ids::RingIndex node, ids::RingIndex od, bool& backward,
                             const ForwardOptions& opts) const;
-
-  /// Picks the best alive nephew of `entry` (closest to opts.next_od).
-  [[nodiscard]] std::optional<ids::RingIndex> pick_nephew(const TableEntry& entry,
-                                                          const ForwardOptions& opts) const;
 
   std::uint32_t size_;
   OverlayParams params_;

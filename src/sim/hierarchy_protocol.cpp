@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "ids/ring.hpp"
+#include "overlay/algorithm3.hpp"
 #include "overlay/table_builder.hpp"
 #include "rng/splitmix64.hpp"
 #include "snapshot/event_kinds.hpp"
@@ -373,18 +374,12 @@ void HierarchySimulation::apply_digest_words(std::uint32_t at, std::uint32_t fro
                             .value = adopted});
 }
 
-std::vector<std::uint32_t> HierarchySimulation::candidates_at(std::uint32_t at,
-                                                              Message& msg) const {
+std::vector<std::uint32_t> HierarchySimulation::candidates_at(
+    std::uint32_t at, const hierarchy::NodePath& dest, bool& backward) const {
   std::vector<std::uint32_t> out;
-  const auto& dest = msg.dest;
   const std::size_t level = level_[at];
   auto push = [&](std::uint32_t id) {
-    if (!is_suspected(at, id) &&
-        std::find(out.begin(), out.end(), id) == out.end()) {
-      out.push_back(id);
-      return true;
-    }
-    return false;
+    if (!is_suspected(at, id)) out.push_back(id);
   };
 
   if (level < dest.size() && upward_prefix(at, 0, dest)) {
@@ -407,57 +402,28 @@ std::vector<std::uint32_t> HierarchySimulation::candidates_at(std::uint32_t at,
     return out;
   }
 
-  // Algorithm 3: overlay forwarding toward OD = dest[level-1] among
-  // siblings.
-  const auto self_index = static_cast<ids::RingIndex>(at - sibling_base_[at]);
-  const std::uint32_t ring = ring_size_[at];
+  // Overlay forwarding among siblings toward OD = dest[level-1]; nephews
+  // lead into the OD's children when the destination lies below it.
   const ids::RingIndex od = dest[level - 1];
-  const std::uint32_t d_od = ids::clockwise_distance(self_index, od, ring);
+  const std::uint32_t od_id = sibling_id(at, od);
+  overlay::algorithm3::NephewOrder nephews;
+  if (level < dest.size()) {
+    nephews = {.kind = overlay::algorithm3::NephewOrder::Kind::kClosest,
+               .next_od = dest[level],
+               .child_ring = child_count_[od_id]};
+  }
   const overlay::RoutingTable& table = table_of(at);
-
-  // Rule 1: OD in the routing table — try it, then its nephews (children of
-  // the OD, i.e. the next-level overlay), closest to the next-level OD
-  // first.
-  if (const overlay::TableEntry* entry = table.find(od)) {
-    push(sibling_id(at, od));
-    if (level < dest.size() && !entry->nephews.empty()) {
-      const auto od_id = sibling_id(at, od);
-      std::vector<ids::RingIndex> ordered = entry->nephews;
-      const ids::RingIndex next_od = dest[level];
-      std::sort(ordered.begin(), ordered.end(), [&](ids::RingIndex a, ids::RingIndex b) {
-        return ids::clockwise_distance(a, next_od, child_count_[od_id]) <
-               ids::clockwise_distance(b, next_od, child_count_[od_id]);
+  overlay::algorithm3::decide(
+      {table, od, config_.params.design, nephews, config_.assume_ring_repaired,
+       table.ccw_neighbor()},
+      backward, [&](ids::RingIndex index, overlay::algorithm3::Rule rule) {
+        const std::uint32_t id = rule == overlay::algorithm3::Rule::kNephew
+                                     ? first_child_[od_id] + index
+                                     : sibling_id(at, index);
+        if (is_suspected(at, id)) return overlay::algorithm3::Verdict::kSkip;
+        out.push_back(id);
+        return overlay::algorithm3::Verdict::kTake;
       });
-      for (const auto nephew : ordered) push(first_child_[od_id] + nephew);
-    }
-  }
-
-  if (!msg.backward) {
-    // Rule 2: greedy — alive-looking entries strictly closer to the OD,
-    // closest first.
-    const std::size_t start_pos = table.last_before_distance(d_od);
-    bool any_greedy = false;
-    for (std::size_t pos = start_pos; pos < table.entries().size(); --pos) {
-      const auto sibling = table.entries()[pos].sibling;
-      if (sibling != od && push(sibling_id(at, sibling))) {
-        any_greedy = true;  // an un-suspected candidate actually exists
-      }
-      if (pos == 0) break;
-    }
-    if (!any_greedy && out.empty()) {
-      msg.backward = true;  // Algorithm 3 line 14
-    }
-  }
-
-  if (msg.backward && config_.params.design == overlay::Design::kEnhanced) {
-    // Rule 3: counter-clockwise steps. With a repaired ring the node's CCW
-    // pointer reaches the nearest alive sibling (tried here in order);
-    // without repair only the immediate neighbor is known.
-    const std::uint32_t reach = config_.assume_ring_repaired ? ring - 1 : 1;
-    for (std::uint32_t step = 1; step <= reach; ++step) {
-      push(sibling_id(at, ids::counter_clockwise_step(self_index, step, ring)));
-    }
-  }
   return out;
 }
 
@@ -484,12 +450,7 @@ trace::EventType HierarchySimulation::hop_kind(std::uint32_t at, std::uint32_t n
 std::vector<std::uint32_t> HierarchySimulation::route_candidates(
     std::uint32_t at, const hierarchy::NodePath& dest, bool& backward) const {
   HOURS_EXPECTS(at < node_count());
-  Message probe;
-  probe.dest = dest;
-  probe.backward = backward;
-  auto out = candidates_at(at, probe);
-  backward = probe.backward;
-  return out;
+  return candidates_at(at, dest, backward);
 }
 
 void HierarchySimulation::client_attempt(std::uint32_t at, std::uint32_t to,
@@ -541,7 +502,7 @@ void HierarchySimulation::handle(std::uint32_t at, const Message& msg) {
     finish(m.qid, false, m.hops);
     return;
   }
-  auto candidates = candidates_at(at, m);
+  auto candidates = candidates_at(at, m.dest, m.backward);
   if (candidates.empty()) {
     finish(m.qid, false, m.hops);
     return;

@@ -178,7 +178,7 @@ class HierarchySimulation : public snapshot::Participant {
   // -- client-driven queries (sim/query_client.hpp) -------------------------------
   /// The ordered next-hop candidate ids node `at` would offer a query toward
   /// `dest`, from its local table and suspicion state only. Flips `backward`
-  /// when greedy progress is exhausted (Algorithm 3 line 14).
+  /// when greedy progress is exhausted.
   [[nodiscard]] std::vector<std::uint32_t> route_candidates(std::uint32_t at,
                                                             const hierarchy::NodePath& dest,
                                                             bool& backward) const;
@@ -209,7 +209,7 @@ class HierarchySimulation : public snapshot::Participant {
   struct Message {
     std::uint64_t qid = 0;
     hierarchy::NodePath dest;
-    bool backward = false;    ///< Algorithm 3 mode bit
+    bool backward = false;    ///< forwarding mode bit
     bool client_hop = false;  ///< custody transfer for an external client
     std::uint32_t hops = 0;
   };
@@ -264,9 +264,11 @@ class HierarchySimulation : public snapshot::Participant {
   void attempt_timeout(std::uint32_t at, std::uint32_t next, Message msg,
                        std::vector<std::uint32_t> remaining);
 
-  /// Algorithm 2+3 decision at node `at`: ordered candidate ids for the
-  /// next hop, or empty when the query must fail here.
-  [[nodiscard]] std::vector<std::uint32_t> candidates_at(std::uint32_t at, Message& msg) const;
+  /// Algorithm 2 plus overlay forwarding at node `at`: ordered candidate
+  /// ids for the next hop, or empty when the query must fail here.
+  [[nodiscard]] std::vector<std::uint32_t> candidates_at(std::uint32_t at,
+                                                         const hierarchy::NodePath& dest,
+                                                         bool& backward) const;
 
   /// Classifies the hop `at` -> `next` for the trace taxonomy (Algorithm 2
   /// descent, overlay detour entrance, ring/backward step, or nephew exit).

@@ -41,7 +41,7 @@ struct QueryNetwork {
                      std::function<void()> on_timeout)>
       attempt;
   /// Ordered next-hop candidates `at` offers toward `dest`; may flip
-  /// `backward` (Algorithm 3 line 14).
+  /// `backward` when greedy progress is exhausted.
   std::function<std::vector<std::uint32_t>(std::uint32_t at, std::uint32_t dest,
                                            bool& backward)>
       candidates;

@@ -1,7 +1,6 @@
 #include "sim/ring_protocol.hpp"
 
-#include <algorithm>
-
+#include "overlay/algorithm3.hpp"
 #include "overlay/table_builder.hpp"
 #include "rng/splitmix64.hpp"
 #include "snapshot/event_kinds.hpp"
@@ -559,18 +558,17 @@ std::vector<ids::RingIndex> RingSimulation::progress_candidates(const Node& node
                                                                 ids::RingIndex target) const {
   // The Repair originator routes toward itself: its own clockwise distance
   // is the full circle, not zero, so every entry makes "progress".
+  // Entries are sorted by distance from `at`: a reverse scan from below the
+  // target yields nearest-to-target first, never the target itself.
   const std::uint32_t self_distance =
       at == target ? config_.size : ids::clockwise_distance(at, target, config_.size);
+  const auto& entries = node.table.entries();
   std::vector<ids::RingIndex> out;
-  for (const auto& entry : node.table.entries()) {
-    const ids::RingIndex s = entry.sibling;
-    if (s == target || liveness_.contains(at, s)) continue;
-    if (ids::clockwise_distance(s, target, config_.size) < self_distance) out.push_back(s);
+  for (std::size_t pos = node.table.last_before_distance(self_distance); pos < entries.size();
+       --pos) {
+    const ids::RingIndex s = entries[pos].sibling;
+    if (!liveness_.contains(at, s)) out.push_back(s);
   }
-  std::sort(out.begin(), out.end(), [&](ids::RingIndex a, ids::RingIndex b) {
-    return ids::clockwise_distance(a, target, config_.size) <
-           ids::clockwise_distance(b, target, config_.size);
-  });
   return out;
 }
 
@@ -736,22 +734,14 @@ std::vector<ids::RingIndex> RingSimulation::route_candidates(ids::RingIndex at,
   HOURS_EXPECTS(at < config_.size && od < config_.size);
   const Node& node = nodes_[at];
   std::vector<ids::RingIndex> candidates;
-  if (!backward) {
-    // Rule 1: the OD itself if we hold a pointer and do not suspect it.
-    if (node.table.find(od) != nullptr && !liveness_.contains(at, od)) {
-      candidates.push_back(od);
-    }
-    const auto greedy = progress_candidates(node, at, od);
-    candidates.insert(candidates.end(), greedy.begin(), greedy.end());
-    if (candidates.empty()) {
-      backward = true;  // Algorithm 3 line 14: flip to backward mode
-    }
-  }
-  if (backward) {
-    if (!liveness_.contains(at, node.ccw)) {
-      candidates.push_back(node.ccw);
-    }
-  }
+  // Rule 3 follows the protocol-maintained counter-clockwise neighbor.
+  overlay::algorithm3::decide(
+      {node.table, od, config_.params.design, {}, /*ring_repaired=*/false, node.ccw}, backward,
+      [&](ids::RingIndex index, overlay::algorithm3::Rule) {
+        if (liveness_.contains(at, index)) return overlay::algorithm3::Verdict::kSkip;
+        candidates.push_back(index);
+        return overlay::algorithm3::Verdict::kTake;
+      });
   return candidates;
 }
 

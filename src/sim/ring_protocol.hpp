@@ -160,8 +160,8 @@ class RingSimulation : public snapshot::Participant {
   // -- client-driven queries (sim/query_client.hpp) -------------------------------
   /// The ordered next-hop candidates node `at` would offer a query toward
   /// overlay destination `od`, from its local table and suspicion state only
-  /// (no liveness oracle). Flips `backward` when greedy progress is
-  /// exhausted, exactly as Algorithm 3 line 14 does for in-network queries.
+  /// (no liveness oracle), in the order of overlay/algorithm3.hpp. Flips
+  /// `backward` when greedy progress is exhausted, as in-network queries do.
   [[nodiscard]] std::vector<ids::RingIndex> route_candidates(ids::RingIndex at,
                                                              ids::RingIndex od,
                                                              bool& backward) const;
@@ -191,7 +191,7 @@ class RingSimulation : public snapshot::Participant {
     /// NeighborClaim so a recovery episode traces end to end).
     std::uint64_t qid = 0;
     ids::RingIndex od = 0;   ///< Query: overlay destination
-    bool backward = false;   ///< Query: Algorithm 3 mode bit
+    bool backward = false;   ///< Query: forwarding mode bit
     std::uint32_t hops = 0;  ///< Query: hops so far
   };
 
@@ -256,8 +256,9 @@ class RingSimulation : public snapshot::Participant {
                             std::vector<ids::RingIndex> candidates);
   void finish_query(std::uint64_t qid, bool delivered, std::uint32_t hops);
 
-  /// Greedy candidates at `at` toward `target`, nearest-to-target first,
-  /// excluding `target` itself and suspected peers.
+  /// Figure-3 Repair routing: the entries at `at` that make clockwise
+  /// progress toward `target`, nearest-to-target first, excluding `target`
+  /// itself and suspected peers.
   [[nodiscard]] std::vector<ids::RingIndex> progress_candidates(const Node& node,
                                                                 ids::RingIndex at,
                                                                 ids::RingIndex target) const;

@@ -31,8 +31,8 @@ enum class EventType : std::uint8_t {
   // -- forwarding hops, by kind --------------------------------------------------
   kHierHop,      ///< parent->child or child->parent step along the dest path
   kDetourEnter,  ///< ancestor routed around a dead on-path child (footnote 4)
-  kRingHop,      ///< greedy overlay step among siblings (Algorithm 3 rule 1/2)
-  kBackwardHop,  ///< counter-clockwise step (Algorithm 3 rule 3)
+  kRingHop,      ///< greedy overlay step among siblings (forwarding rules 1/2)
+  kBackwardHop,  ///< counter-clockwise step (forwarding rule 3)
   kNephewExit,   ///< hop to a child of a sibling (nephew pointer exit)
   // -- liveness probing -----------------------------------------------------------
   kProbeSent,    ///< ring probe transmitted; peer = probed node

@@ -145,6 +145,39 @@ TEST(HierarchyProtocol, UnrepairedRingLimitsBackwardReach) {
   EXPECT_LE(off.delivered, on.delivered);
 }
 
+TEST(HierarchyProtocol, RouteCandidatesAreExact) {
+  // At a 1,000-child ancestor: the on-path child, then every other child in
+  // counter-clockwise order from it, minus the ones the ancestor suspects.
+  {
+    HierarchySimulation sim{make_config({1000, 2})};
+    sim.kill({499});
+    sim.kill({498});
+    ASSERT_TRUE(sim.run_query({499, 0}).delivered);  // the root times out on both
+
+    std::vector<std::uint32_t> expected{sim.id_of({500})};
+    for (std::uint32_t step = 3; step < 1000; ++step) {
+      expected.push_back(sim.id_of({ids::counter_clockwise_step(500, step, 1000)}));
+    }
+    bool backward = false;
+    EXPECT_EQ(sim.route_candidates(0, {500, 1}, backward), expected);
+    EXPECT_FALSE(backward);
+  }
+  // Backward mode at a sibling whose table holds the OD: the OD, its
+  // children (q covers both, the next-level OD first), then the
+  // counter-clockwise walk, which reaches the OD again but must not repeat
+  // it.
+  {
+    HierarchySimulation sim{make_config({8, 2})};
+    const std::uint32_t at = sim.id_of({1});  // OD {3} is 2 <= k steps clockwise
+    bool backward = true;
+    const std::vector<std::uint32_t> expected{
+        sim.id_of({3}), sim.id_of({3, 1}), sim.id_of({3, 0}), sim.id_of({0}), sim.id_of({7}),
+        sim.id_of({6}), sim.id_of({5}),    sim.id_of({4}),    sim.id_of({2})};
+    EXPECT_EQ(sim.route_candidates(at, {3, 1}, backward), expected);
+    EXPECT_TRUE(backward);
+  }
+}
+
 TEST(HierarchyProtocol, SurvivesMessageLoss) {
   HierarchySimConfig cfg = make_config({8, 4});
   cfg.transport.loss_probability = 0.10;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "overlay/overlay.hpp"
+#include "param_printing.hpp"
 
 namespace hours::overlay {
 namespace {
@@ -362,6 +363,11 @@ struct DeliveryCase {
   Design design;
   std::uint32_t k;
 };
+
+void PrintTo(const DeliveryCase& c, std::ostream* os) {
+  testing_support::print_fields_as_bytes(c, os, &DeliveryCase::n, &DeliveryCase::design,
+                                         &DeliveryCase::k);
+}
 
 class DeliverySweep : public ::testing::TestWithParam<DeliveryCase> {};
 

@@ -8,6 +8,7 @@
 #include "analysis/resilience.hpp"
 #include "ids/ring.hpp"
 #include "overlay/table_builder.hpp"
+#include "param_printing.hpp"
 
 namespace hours::overlay {
 namespace {
@@ -162,6 +163,11 @@ struct SweepCase {
   std::uint32_t k;
   Design design;
 };
+
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  testing_support::print_fields_as_bytes(c, os, &SweepCase::n, &SweepCase::k,
+                                         &SweepCase::design);
+}
 
 class TableSweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -2,6 +2,8 @@
 // recovery, and Section 4.3 active recovery (Figure 3's scenario).
 #include <gtest/gtest.h>
 
+#include "ids/ring.hpp"
+#include "overlay/table_builder.hpp"
 #include "sim/ring_protocol.hpp"
 
 namespace hours::sim {
@@ -123,6 +125,42 @@ TEST(RingProtocol, QueriesSurviveAfterRecovery) {
   ring.simulator().run(20 * ring.config().probe_period);
   EXPECT_TRUE(ring.query(q).done);
   EXPECT_TRUE(ring.query(q).delivered);
+}
+
+TEST(RingProtocol, BackwardModeHopsToOdHeldInTable) {
+  // Rule 1 applies in backward mode too: the backward walk ends at the first
+  // node whose table holds the alive OD, which hops straight to it instead
+  // of walking counter-clockwise all the way round to the OD.
+  const RingSimConfig cfg = make_config(32, 2);
+  RingSimulation ring{cfg};
+  auto table_of = [&](ids::RingIndex i) {
+    return overlay::build_routing_table(cfg.size, i, cfg.params);
+  };
+  const ids::RingIndex from = 0;
+  const overlay::RoutingTable entrance = table_of(from);
+  ids::RingIndex od = 16;
+  while (entrance.find(od) != nullptr) ++od;
+  // With every greedy candidate dead, the entrance flips to backward mode.
+  const std::uint32_t d_od = ids::clockwise_distance(from, od, cfg.size);
+  for (const auto& entry : entrance.entries()) {
+    if (ids::clockwise_distance(from, entry.sibling, cfg.size) < d_od) ring.kill(entry.sibling);
+  }
+  std::uint32_t steps = 1;
+  while (table_of(ids::counter_clockwise_step(from, steps, cfg.size)).find(od) == nullptr) {
+    ++steps;
+  }
+  const ids::RingIndex holder = ids::counter_clockwise_step(from, steps, cfg.size);
+  ASSERT_LT(steps + 1, cfg.size - d_od);  // shorter than the walk round to the OD
+
+  bool backward = true;
+  const auto candidates = ring.route_candidates(holder, od, backward);
+  ASSERT_FALSE(candidates.empty());
+  EXPECT_EQ(candidates.front(), od);
+
+  const auto q = ring.inject_query(from, od);
+  ring.simulator().run();
+  ASSERT_TRUE(ring.query(q).delivered);
+  EXPECT_EQ(ring.query(q).hops, steps + 1);
 }
 
 TEST(RingProtocol, RecoveryConvergesUnderMessageLoss) {
