@@ -1,14 +1,14 @@
 // Concurrent serving throughput: hammers the ConcurrentResolver front-end
-// (sharded RCU answer cache over HoursSystem) with resolver threads and
-// reports queries/sec/thread across a thread-scaling curve — the "service
-// under heavy traffic" measurement the ROADMAP's concurrency item asks for.
+// (sharded answer cache over HoursSystem, one reader-writer lock per shard)
+// with resolver threads and reports queries/sec/thread across a
+// thread-scaling curve — the "service under heavy traffic" measurement the
+// ROADMAP's concurrency item asks for.
 //
 // Setup: a ~1k-name hierarchy with one A record per leaf, a resolver warmed
 // by one pass over every name, then for each thread count in {1,2,4,8} a
 // timed phase where every thread resolves uniformly random names (all cache
-// hits — the lock-free read path is what scales) plus one batched phase at
-// the widest count exercising resolve_batch. Thread counts above the
-// machine's hardware concurrency still run (the curve shows the
+// hits — the shared-lock read path is what scales). Thread counts above
+// the machine's hardware concurrency still run (the curve shows the
 // oversubscribed tail) but are excluded from enforcement.
 //
 // With --enforce the run compares each in-hardware thread count's
@@ -166,35 +166,6 @@ int main(int argc, char** argv) {
                 phase.threads > hardware ? " (oversubscribed)" : "");
   }
 
-  // One batched phase at the widest in-hardware width: resolve_batch
-  // amortizes the probe loop and (on misses) the authority mutex.
-  const unsigned batch_threads = std::min(hardware, curve.back());
-  const std::uint64_t batch_rounds = hours::bench::scaled(2'000, 50, quick);
-  std::atomic<std::uint64_t> batch_answered{0};
-  const auto t_batch = std::chrono::steady_clock::now();
-  {
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < batch_threads; ++t) {
-      pool.emplace_back([&resolver, &names, &batch_answered, batch_rounds] {
-        std::uint64_t local = 0;
-        for (std::uint64_t i = 0; i < batch_rounds; ++i) {
-          const auto results = resolver.resolve_batch(names, /*now=*/1);
-          for (const auto& result : results) {
-            HOURS_ASSERT(result.answered);
-            ++local;
-          }
-        }
-        batch_answered.fetch_add(local, std::memory_order_relaxed);
-      });
-    }
-    for (auto& thread : pool) thread.join();
-  }
-  const double batch_wall = seconds_since(t_batch);
-  const double batch_qps =
-      batch_wall > 0.0 ? static_cast<double>(batch_answered.load()) / batch_wall : 0.0;
-  std::printf("[serving_throughput] batch threads=%u qps_total=%.0f\n", batch_threads,
-              batch_qps);
-
   const auto stats = resolver.stats();
   JsonWriter json;
   json.begin_object();
@@ -218,8 +189,6 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
-  json.field("batch_threads", static_cast<std::uint64_t>(batch_threads));
-  json.field("batch_qps_total", batch_qps, 0);
   json.field("cache_hits", stats.cache_hits);
   json.field("cache_misses", stats.cache_misses);
   json.field("failures", stats.failures);

@@ -1,6 +1,5 @@
 #include "hours/concurrent_resolver.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/contracts.hpp"
@@ -27,20 +26,10 @@ ConcurrentResolver::ConcurrentResolver(HoursSystem& system, std::size_t capacity
     : system_(system) {
   HOURS_EXPECTS(capacity > 0);
   HOURS_EXPECTS(shard_count > 0);
-  shard_capacity_ = (capacity + shard_count - 1) / shard_count;
+  const std::size_t shard_capacity = (capacity + shard_count - 1) / shard_count;
   shards_.reserve(shard_count);
   for (unsigned i = 0; i < shard_count; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->live.store(new Table{}, std::memory_order_release);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-ConcurrentResolver::~ConcurrentResolver() {
-  // No concurrent readers may remain; the RCU domain frees retired tables,
-  // the live ones are freed here.
-  for (auto& shard : shards_) {
-    delete shard->live.load(std::memory_order_relaxed);
+    shards_.push_back(std::make_unique<Shard>(shard_capacity));
   }
 }
 
@@ -49,51 +38,12 @@ ConcurrentResolver::Shard& ConcurrentResolver::shard_of(std::string_view name) c
 }
 
 bool ConcurrentResolver::probe(const Shard& shard, std::string_view name, std::uint64_t now,
-                               std::vector<store::Record>* out) const {
-  jobs::RcuDomain::ReadGuard guard{rcu_};
-  const Table* table = shard.live.load(std::memory_order_seq_cst);
-  const auto it = table->find(name);
-  if (it == table->end() || it->second.expires_at <= now) return false;
-  if (out != nullptr) *out = it->second.records;  // copy while the guard pins the table
+                               std::vector<store::Record>* out) {
+  std::shared_lock lock{shard.mutex};
+  const auto* records = shard.cache.find(name, now);
+  if (records == nullptr) return false;
+  if (out != nullptr) *out = *records;  // copy while the lock pins the entry
   return true;
-}
-
-void ConcurrentResolver::publish(Shard& shard, std::string_view name, Entry entry,
-                                 std::uint64_t now) {
-  std::lock_guard<std::mutex> lock{shard.writer};
-  const Table* old = shard.live.load(std::memory_order_relaxed);
-  auto next = std::make_unique<Table>(*old);
-  // Mirror Resolver::evict_expired_or_oldest per shard: an overwrite never
-  // evicts; a fresh name over capacity drops everything expired, else the
-  // entry closest to expiry.
-  if (next->find(name) == next->end() && next->size() >= shard_capacity_) {
-    bool dropped = false;
-    for (auto it = next->begin(); it != next->end();) {
-      if (it->second.expires_at <= now) {
-        it = next->erase(it);
-        shard.evictions.fetch_add(1, std::memory_order_relaxed);
-        dropped = true;
-      } else {
-        ++it;
-      }
-    }
-    if (!dropped && !next->empty()) {
-      const auto victim = std::min_element(next->begin(), next->end(),
-                                           [](const auto& a, const auto& b) {
-                                             return a.second.expires_at < b.second.expires_at;
-                                           });
-      next->erase(victim);
-      shard.evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  (*next)[std::string{name}] = std::move(entry);
-  const Table* fresh = next.release();
-  shard.live.store(fresh, std::memory_order_seq_cst);
-  {
-    std::lock_guard<std::mutex> rcu_lock{rcu_writer_mutex_};
-    rcu_.retire([old] { delete old; });
-    rcu_.advance_and_reclaim();
-  }
 }
 
 ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t now) {
@@ -104,6 +54,10 @@ ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t n
     result.answered = true;
     result.from_cache = true;
     return result;
+  }
+  {
+    std::unique_lock lock{shard.mutex};
+    shard.cache.drop_expired(name, now);
   }
 
   // Defense gate before the authority mutex: a refused query must not even
@@ -117,7 +71,7 @@ ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t n
 
   std::lock_guard<std::mutex> lock{system_mutex_};
   // Double-check: a concurrent miss on the same name may have answered and
-  // published while we waited for the authority mutex.
+  // inserted while we waited for the authority mutex.
   if (probe(shard, name, now, &result.records)) {
     shard.hits.fetch_add(1, std::memory_order_relaxed);
     result.answered = true;
@@ -136,67 +90,8 @@ ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t n
   shard.misses.fetch_add(1, std::memory_order_relaxed);
   result.answered = true;
   result.records = looked_up.records;
-  publish(shard, name, Entry{now + answer_min_ttl(result.records), result.records}, now);
+  insert(name, now, result.records);
   return result;
-}
-
-std::vector<ResolveResult> ConcurrentResolver::resolve_batch(
-    const std::vector<std::string>& names, std::uint64_t now) {
-  std::vector<ResolveResult> results(names.size());
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    Shard& shard = shard_of(names[i]);
-    if (probe(shard, names[i], now, &results[i].records)) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      results[i].answered = true;
-      results[i].from_cache = true;
-    } else {
-      missing.push_back(i);
-    }
-  }
-  if (missing.empty()) return results;
-
-  std::lock_guard<std::mutex> lock{system_mutex_};
-  std::vector<std::string> forwarded;
-  std::vector<std::size_t> forwarded_index;
-  forwarded.reserve(missing.size());
-  for (const auto i : missing) {
-    Shard& shard = shard_of(names[i]);
-    // Same double-check as resolve(): the batch ahead of us may have
-    // already answered some of these names.
-    if (probe(shard, names[i], now, &results[i].records)) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      results[i].answered = true;
-      results[i].from_cache = true;
-      continue;
-    }
-    if (defense_ != nullptr && defense_->config().enabled &&
-        defense_->flagged(NegativeCacheDigest::zone_of(names[i]), now)) {
-      shard.refusals.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    forwarded.push_back(names[i]);
-    forwarded_index.push_back(i);
-  }
-  const auto answers = system_.lookup_batch(forwarded);
-  for (std::size_t j = 0; j < answers.size(); ++j) {
-    const std::size_t i = forwarded_index[j];
-    Shard& shard = shard_of(names[i]);
-    results[i].hops = answers[j].query.hops;
-    if (defense_ != nullptr && defense_->config().enabled) {
-      (void)defense_->record_miss(NegativeCacheDigest::zone_of(names[i]), names[i], now);
-    }
-    if (!answers[j].query.delivered) {
-      shard.failures.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    results[i].answered = true;
-    results[i].records = answers[j].records;
-    publish(shard, names[i], Entry{now + answer_min_ttl(results[i].records), results[i].records},
-            now);
-  }
-  return results;
 }
 
 bool ConcurrentResolver::peek(std::string_view name, std::uint64_t now,
@@ -206,8 +101,9 @@ bool ConcurrentResolver::peek(std::string_view name, std::uint64_t now,
 
 void ConcurrentResolver::insert(std::string_view name, std::uint64_t now,
                                 std::vector<store::Record> records) {
-  const std::uint64_t ttl = answer_min_ttl(records);
-  publish(shard_of(name), name, Entry{now + ttl, std::move(records)}, now);
+  Shard& shard = shard_of(name);
+  std::unique_lock lock{shard.mutex};
+  shard.cache.insert(name, now, std::move(records));
 }
 
 ResolverStats ConcurrentResolver::stats() const {
@@ -216,8 +112,9 @@ ResolverStats ConcurrentResolver::stats() const {
     total.cache_hits += shard->hits.load(std::memory_order_relaxed);
     total.cache_misses += shard->misses.load(std::memory_order_relaxed);
     total.failures += shard->failures.load(std::memory_order_relaxed);
-    total.evictions += shard->evictions.load(std::memory_order_relaxed);
     total.refusals += shard->refusals.load(std::memory_order_relaxed);
+    std::shared_lock lock{shard->mutex};
+    total.evictions += shard->cache.evictions();
   }
   if (defense_ != nullptr) total.zones_flagged = defense_->zones_flagged();
   return total;
@@ -226,8 +123,8 @@ ResolverStats ConcurrentResolver::stats() const {
 std::size_t ConcurrentResolver::cached_names() const {
   std::size_t total = 0;
   for (const auto& shard : shards_) {
-    jobs::RcuDomain::ReadGuard guard{rcu_};
-    total += shard->live.load(std::memory_order_seq_cst)->size();
+    std::shared_lock lock{shard->mutex};
+    total += shard->cache.size();
   }
   return total;
 }

@@ -1,43 +1,39 @@
-// Concurrent serving front-end: a sharded, RCU-published TTL answer cache
-// in front of HoursSystem — the first step from "simulator" to "service
-// under heavy traffic" (ROADMAP; cf. the Random Query String DoS paper's
-// concern with resolver caches under high-rate query mixes).
+// Concurrent serving front-end: a sharded, reader-writer-locked TTL answer
+// cache in front of HoursSystem — the first step from "simulator" to
+// "service under heavy traffic" (ROADMAP; cf. the Random Query String DoS
+// paper's concern with resolver caches under high-rate query mixes).
 //
 // Design:
 //   * The name space is split across `shard_count` shards by FNV-1a hash.
-//   * Each shard publishes an immutable std::map snapshot through an
-//     atomic pointer. The read path (cache hit) takes NO lock: a
-//     jobs::RcuDomain read guard (two atomic stores) pins the snapshot,
-//     the probe copies the records out, and the guard drops. Writers
-//     copy-on-write the shard map under a per-shard mutex, swap the
-//     pointer, and retire the old snapshot to the RCU domain.
+//   * Each shard is one AnswerCache (the core Resolver also uses) behind a
+//     std::shared_mutex. A cache hit probes under the shared lock and
+//     copies the records out, so hits on one shard run in parallel;
+//     inserts, evictions and expired-entry drops take the exclusive lock.
 //   * The miss path funnels into the single-threaded HoursSystem under one
 //     authority mutex — concurrency lives in front of the hierarchy, never
-//     inside one query. resolve_batch() amortizes that mutex: probe all
-//     names lock-free first, then forward the misses in one batched
-//     HoursSystem::lookup_batch call.
+//     inside one query.
 //
-// Semantics match Resolver exactly (same answer_min_ttl aging, same
-// evict-expired-else-earliest-expiry policy applied per shard), so a
+// Semantics match Resolver exactly (same core, so the same TTL aging and
+// evict-expired-else-earliest-expiry policy, applied per shard), so a
 // single-threaded trace driven through both produces identical hit/miss/
-// failure counts whenever capacity never binds — the oracle property in
-// tests/concurrent_resolver_test.cpp. Under eviction pressure the shard-
-// local (vs. global) victim choice may differ; the bound
+// failure counts whenever capacity never binds, and identical evictions
+// and cached names too with one shard — the oracle in
+// tests/concurrent_resolver_test.cpp. With several shards under eviction
+// pressure the shard-local (vs. global) victim choice may differ; the bound
 // cached_names() <= shard_count * ceil(capacity / shard_count) always holds.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "hours/hours.hpp"
 #include "hours/resolver.hpp"
-#include "jobs/rcu.hpp"
 #include "store/record_store.hpp"
 
 namespace hours {
@@ -49,25 +45,19 @@ class ConcurrentResolver {
   /// system reference must outlive the resolver.
   explicit ConcurrentResolver(HoursSystem& system, std::size_t capacity = 1024,
                               unsigned shard_count = 8);
-  ~ConcurrentResolver();
 
   ConcurrentResolver(const ConcurrentResolver&) = delete;
   ConcurrentResolver& operator=(const ConcurrentResolver&) = delete;
 
-  /// Thread-safe resolve at client time `now`. Cache hits are lock-free;
-  /// misses serialize on the authority mutex in front of HoursSystem.
-  /// `now` is caller-supplied (not read from the backend) because the
-  /// backend clock is not safe to touch concurrently with lookups.
+  /// Thread-safe resolve at client time `now`. Cache hits take only their
+  /// shard's shared lock; misses serialize on the authority mutex in front
+  /// of HoursSystem. `now` is caller-supplied (not read from the backend)
+  /// because the backend clock is not safe to touch concurrently with
+  /// lookups.
   [[nodiscard]] ResolveResult resolve(std::string_view name, std::uint64_t now);
 
-  /// Batched submission: lock-free probes first, then one authority-mutex
-  /// acquisition forwarding all misses via HoursSystem::lookup_batch.
-  /// Results are positionally aligned with `names`.
-  [[nodiscard]] std::vector<ResolveResult> resolve_batch(const std::vector<std::string>& names,
-                                                         std::uint64_t now);
-
-  /// Lock-free cache-only probe; copies the records into `*out` (the
-  /// snapshot cannot be referenced after return). Does not update stats.
+  /// Cache-only probe; copies the records into `*out` (the shard may
+  /// change after return). Does not update stats.
   [[nodiscard]] bool peek(std::string_view name, std::uint64_t now,
                           std::vector<store::Record>* out) const;
 
@@ -99,35 +89,22 @@ class ConcurrentResolver {
   }
 
  private:
-  struct Entry {
-    std::uint64_t expires_at = 0;
-    std::vector<store::Record> records;
-  };
-  /// Immutable once published; replaced wholesale on every write.
-  using Table = std::map<std::string, Entry, std::less<>>;
-
-  struct Shard {
-    std::mutex writer;               ///< serializes copy-on-write updates
-    std::atomic<const Table*> live;  ///< readers load under an RCU guard
+  struct alignas(64) Shard {
+    explicit Shard(std::size_t capacity) : cache(capacity) {}
+    mutable std::shared_mutex mutex;  ///< shared: probes; exclusive: writes
+    AnswerCache cache;
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> failures{0};
-    std::atomic<std::uint64_t> evictions{0};
     std::atomic<std::uint64_t> refusals{0};
   };
 
   [[nodiscard]] Shard& shard_of(std::string_view name) const;
-  [[nodiscard]] bool probe(const Shard& shard, std::string_view name, std::uint64_t now,
-                           std::vector<store::Record>* out) const;
-  /// Copy-on-write insert mirroring Resolver's eviction policy, then an
-  /// RCU publish + reclaim pass.
-  void publish(Shard& shard, std::string_view name, Entry entry, std::uint64_t now);
+  [[nodiscard]] static bool probe(const Shard& shard, std::string_view name, std::uint64_t now,
+                                  std::vector<store::Record>* out);
 
   HoursSystem& system_;
   std::mutex system_mutex_;  ///< the single-consumer authority path
-  std::size_t shard_capacity_;
-  mutable jobs::RcuDomain rcu_;
-  std::mutex rcu_writer_mutex_;  ///< serializes retire/advance across shards
   std::vector<std::unique_ptr<Shard>> shards_;
   std::shared_ptr<NegativeCacheDigest> defense_;  ///< null = defense off
 };

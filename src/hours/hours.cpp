@@ -194,14 +194,6 @@ HoursSystem::LookupResult HoursSystem::lookup(std::string_view name) {
   return result;
 }
 
-std::vector<HoursSystem::LookupResult> HoursSystem::lookup_batch(
-    const std::vector<std::string>& names) {
-  std::vector<LookupResult> results;
-  results.reserve(names.size());
-  for (const auto& name : names) results.push_back(lookup(name));
-  return results;
-}
-
 void HoursSystem::cache_bootstrap(std::string_view name) {
   const std::string entry{name};
   const auto it = std::find(bootstrap_cache_.begin(), bootstrap_cache_.end(), entry);

@@ -129,13 +129,6 @@ class HoursSystem {
   };
   [[nodiscard]] LookupResult lookup(std::string_view name);
 
-  /// Batched query submission: the single-consumer entry point the
-  /// concurrent serving front-end (ConcurrentResolver) funnels cache
-  /// misses through — one facade call per batch instead of one per query.
-  /// Results align positionally with `names`. Not itself thread-safe; the
-  /// caller serializes access to the facade.
-  [[nodiscard]] std::vector<LookupResult> lookup_batch(const std::vector<std::string>& names);
-
   [[nodiscard]] const store::RecordStore& records() const noexcept { return records_; }
 
   [[nodiscard]] hierarchy::NamedHierarchy& hierarchy() noexcept { return hierarchy_; }

@@ -4,11 +4,18 @@
 
 namespace hours {
 
+namespace {
+
+/// Minimum TTL over an answer's records, or 60s for an empty answer. No
+/// sentinel: a record whose TTL *is* 60 participates in the minimum like
+/// any other value.
 std::uint64_t answer_min_ttl(const std::vector<store::Record>& records) noexcept {
   std::uint64_t ttl = ~std::uint64_t{0};
   for (const auto& r : records) ttl = std::min<std::uint64_t>(ttl, r.ttl);
   return records.empty() ? 60 : ttl;
 }
+
+}  // namespace
 
 std::string_view NegativeCacheDigest::zone_of(std::string_view name) noexcept {
   const auto dot = name.find('.');
@@ -45,6 +52,83 @@ std::uint64_t NegativeCacheDigest::zones_flagged() const {
   return zones_flagged_;
 }
 
+const std::vector<store::Record>* AnswerCache::find(std::string_view name,
+                                                   std::uint64_t now) const {
+  const auto it = entries_.find(name);
+  if (it == entries_.end() || it->second.expires_at <= now) return nullptr;
+  return &it->second.records;
+}
+
+void AnswerCache::drop_expired(std::string_view name, std::uint64_t now) {
+  const auto it = entries_.find(name);
+  if (it != entries_.end() && it->second.expires_at <= now) entries_.erase(it);
+}
+
+void AnswerCache::insert(std::string_view name, std::uint64_t now,
+                         std::vector<store::Record> records) {
+  Entry entry{now + answer_min_ttl(records), std::move(records)};
+  if (const auto it = entries_.find(name); it != entries_.end()) {
+    it->second = std::move(entry);  // an overwrite never evicts
+    return;
+  }
+  if (entries_.size() >= capacity_) evict_expired_or_earliest(now);
+  entries_.emplace(std::string{name}, std::move(entry));
+}
+
+void AnswerCache::evict_expired_or_earliest(std::uint64_t now) {
+  // Drop everything expired; if nothing is, drop the entry closest to
+  // expiry. Linear scan: caches (and shards) are small.
+  const auto before = entries_.size();
+  std::erase_if(entries_, [now](const auto& kv) { return kv.second.expires_at <= now; });
+  evictions_ += before - entries_.size();
+  if (entries_.size() < before || entries_.empty()) return;
+  entries_.erase(std::min_element(
+      entries_.begin(), entries_.end(),
+      [](const auto& a, const auto& b) { return a.second.expires_at < b.second.expires_at; }));
+  ++evictions_;
+}
+
+snapshot::Json AnswerCache::rows_json() const {
+  using snapshot::Json;
+  Json::Array rows;
+  for (const auto& [name, entry] : entries_) {
+    Json::Array records;
+    for (const auto& r : entry.records) records.emplace_back(Json::Array{r.type, r.value, r.ttl});
+    rows.emplace_back(Json::Array{name, entry.expires_at, std::move(records)});
+  }
+  return rows;
+}
+
+std::string AnswerCache::restore(const snapshot::Json& rows, std::size_t capacity,
+                                 std::uint64_t evictions) {
+  if (!rows.is_array()) return "resolver.cache malformed";
+  std::map<std::string, Entry, std::less<>> restored;
+  for (const auto& raw : rows.items()) {
+    if (!raw.is_array() || raw.items().size() != 3 || !raw.items()[0].is_string() ||
+        !raw.items()[1].is_u64() || !raw.items()[2].is_array()) {
+      return "resolver.cache entry malformed";
+    }
+    Entry entry;
+    entry.expires_at = raw.items()[1].as_u64();
+    for (const auto& fields : raw.items()[2].items()) {
+      if (!fields.is_array() || fields.items().size() != 3 || !fields.items()[0].is_string() ||
+          !fields.items()[1].is_string() || !fields.items()[2].is_u64()) {
+        return "resolver.cache record malformed";
+      }
+      store::Record record;
+      record.type = fields.items()[0].as_string();
+      record.value = fields.items()[1].as_string();
+      record.ttl = fields.items()[2].as_u64();
+      entry.records.push_back(std::move(record));
+    }
+    restored[raw.items()[0].as_string()] = std::move(entry);
+  }
+  entries_ = std::move(restored);
+  capacity_ = capacity;
+  evictions_ = evictions;
+  return "";
+}
+
 ResolveResult Resolver::resolve(std::string_view name) { return resolve(name, system_.now()); }
 
 const std::vector<store::Record>* Resolver::peek(std::string_view name) const {
@@ -57,18 +141,14 @@ void Resolver::insert(std::string_view name, std::vector<store::Record> records)
 
 ResolveResult Resolver::resolve(std::string_view name, std::uint64_t now) {
   ResolveResult result;
-  const std::string key{name};
-
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    if (it->second.expires_at > now) {
-      ++stats_.cache_hits;
-      result.answered = true;
-      result.from_cache = true;
-      result.records = it->second.records;
-      return result;
-    }
-    cache_.erase(it);  // expired
+  if (const auto* cached = cache_.find(name, now)) {
+    ++stats_.cache_hits;
+    result.answered = true;
+    result.from_cache = true;
+    result.records = *cached;
+    return result;
   }
+  cache_.drop_expired(name, now);
 
   // Defense gate on the miss path only: cached answers for a flagged zone
   // keep serving (legitimate hot names stay warm); what a flag denies is the
@@ -94,74 +174,17 @@ ResolveResult Resolver::resolve(std::string_view name, std::uint64_t now) {
   ++stats_.cache_misses;
   result.answered = true;
   result.records = looked_up.records;
-
-  if (cache_.size() >= capacity_) evict_expired_or_oldest(now);
-  cache_[key] = Entry{now + answer_min_ttl(result.records), result.records};
+  cache_.insert(name, now, result.records);
   return result;
-}
-
-const std::vector<store::Record>* Resolver::peek(std::string_view name,
-                                                 std::uint64_t now) const {
-  const auto it = cache_.find(std::string{name});
-  if (it == cache_.end() || it->second.expires_at <= now) return nullptr;
-  return &it->second.records;
-}
-
-void Resolver::insert(std::string_view name, std::uint64_t now,
-                      std::vector<store::Record> records) {
-  const std::uint64_t ttl = answer_min_ttl(records);
-  if (cache_.size() >= capacity_) evict_expired_or_oldest(now);
-  cache_[std::string{name}] = Entry{now + ttl, std::move(records)};
-}
-
-void Resolver::evict_expired_or_oldest(std::uint64_t now) {
-  // Drop everything expired; if nothing is, drop the entry closest to
-  // expiry. Linear scan: client caches are small.
-  bool dropped = false;
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (it->second.expires_at <= now) {
-      it = cache_.erase(it);
-      ++stats_.evictions;
-      dropped = true;
-    } else {
-      ++it;
-    }
-  }
-  if (dropped || cache_.empty()) return;
-  const auto victim = std::min_element(
-      cache_.begin(), cache_.end(),
-      [](const auto& a, const auto& b) { return a.second.expires_at < b.second.expires_at; });
-  cache_.erase(victim);
-  ++stats_.evictions;
 }
 
 snapshot::Json Resolver::to_json() const {
   using snapshot::Json;
   Json out = Json::object();
-  out["capacity"] = Json(static_cast<std::uint64_t>(capacity_));
-  Json cache = Json::array();  // rows [name, expires_at, [[type, value, ttl]...]]
-  for (const auto& [name, entry] : cache_) {
-    Json row = Json::array();
-    row.push(Json(name));
-    row.push(Json(entry.expires_at));
-    Json records = Json::array();
-    for (const auto& record : entry.records) {
-      Json fields = Json::array();
-      fields.push(Json(record.type));
-      fields.push(Json(record.value));
-      fields.push(Json(record.ttl));
-      records.push(std::move(fields));
-    }
-    row.push(std::move(records));
-    cache.push(std::move(row));
-  }
-  out["cache"] = std::move(cache);
-  Json stats = Json::array();
-  stats.push(Json(stats_.cache_hits));
-  stats.push(Json(stats_.cache_misses));
-  stats.push(Json(stats_.failures));
-  stats.push(Json(stats_.evictions));
-  out["stats"] = std::move(stats);
+  out["capacity"] = Json(static_cast<std::uint64_t>(cache_.capacity()));
+  out["cache"] = cache_.rows_json();
+  out["stats"] =
+      Json::Array{stats_.cache_hits, stats_.cache_misses, stats_.failures, cache_.evictions()};
   return out;
 }
 
@@ -170,40 +193,21 @@ std::string Resolver::from_json(const snapshot::Json& state) {
   const Json* capacity = state.find("capacity");
   const Json* cache = state.find("cache");
   const Json* stats = state.find("stats");
-  if (capacity == nullptr || !capacity->is_u64() || cache == nullptr || !cache->is_array() ||
-      stats == nullptr || !stats->is_array() || stats->items().size() != 4) {
+  if (capacity == nullptr || !capacity->is_u64() || cache == nullptr || stats == nullptr ||
+      !stats->is_array() || stats->items().size() != 4) {
     return "resolver state malformed";
   }
   for (const auto& field : stats->items()) {
     if (!field.is_u64()) return "resolver.stats malformed";
   }
-  std::map<std::string, Entry> restored;
-  for (const auto& raw : cache->items()) {
-    if (!raw.is_array() || raw.items().size() != 3 || !raw.items()[0].is_string() ||
-        !raw.items()[1].is_u64() || !raw.items()[2].is_array()) {
-      return "resolver.cache entry malformed";
-    }
-    Entry entry;
-    entry.expires_at = raw.items()[1].as_u64();
-    for (const auto& fields : raw.items()[2].items()) {
-      if (!fields.is_array() || fields.items().size() != 3 || !fields.items()[0].is_string() ||
-          !fields.items()[1].is_string() || !fields.items()[2].is_u64()) {
-        return "resolver.cache record malformed";
-      }
-      store::Record record;
-      record.type = fields.items()[0].as_string();
-      record.value = fields.items()[1].as_string();
-      record.ttl = fields.items()[2].as_u64();
-      entry.records.push_back(std::move(record));
-    }
-    restored[raw.items()[0].as_string()] = std::move(entry);
+  if (auto error = cache_.restore(*cache, static_cast<std::size_t>(capacity->as_u64()),
+                                  stats->items()[3].as_u64());
+      !error.empty()) {
+    return error;
   }
-  capacity_ = static_cast<std::size_t>(capacity->as_u64());
-  cache_ = std::move(restored);
   stats_.cache_hits = stats->items()[0].as_u64();
   stats_.cache_misses = stats->items()[1].as_u64();
   stats_.failures = stats->items()[2].as_u64();
-  stats_.evictions = stats->items()[3].as_u64();
   return "";
 }
 

@@ -14,19 +14,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "hours/hours.hpp"
 #include "snapshot/json.hpp"
 #include "store/record_store.hpp"
 
 namespace hours {
-
-/// Minimum TTL over an answer's records; answers without records get a
-/// short negative-style TTL (60s) so existence checks still benefit. No
-/// sentinel: a record whose TTL *is* 60 participates in the minimum like
-/// any other value. Shared by Resolver and ConcurrentResolver so both
-/// caches age answers identically (the hit-rate oracle depends on it).
-[[nodiscard]] std::uint64_t answer_min_ttl(const std::vector<store::Record>& records) noexcept;
 
 struct ResolverStats {
   std::uint64_t cache_hits = 0;
@@ -104,12 +99,62 @@ struct ResolveResult {
   std::vector<store::Record> records;
 };
 
+/// The answer cache both resolvers share (single-threaded; a
+/// ConcurrentResolver shard wraps one in a reader-writer lock). An ordered
+/// name -> (expiry, records) map under a capacity bound, with the one copy
+/// of the caching rules: answers age by their minimum record TTL, a lookup never
+/// mutates, an overwrite never evicts, and a new name at capacity first
+/// drops every expired entry, else the entry closest to expiry. Ordered so
+/// snapshot rows are byte-deterministic.
+class AnswerCache {
+ public:
+  explicit AnswerCache(std::size_t capacity) : capacity_(capacity) {}
+
+  /// The cached records for `name` while fresh at `now` (expiry is
+  /// exclusive), else null. The pointer lives until the next mutation.
+  [[nodiscard]] const std::vector<store::Record>* find(std::string_view name,
+                                                       std::uint64_t now) const;
+
+  /// Drops `name` if it is cached and stale at `now` — the miss path's
+  /// cleanup, which is not an eviction.
+  void drop_expired(std::string_view name, std::uint64_t now);
+
+  /// Caches `records` for `name` until `now` plus their minimum TTL; an
+  /// answer without records gets a short negative-style TTL (60s) so
+  /// existence checks still benefit.
+  void insert(std::string_view name, std::uint64_t now, std::vector<store::Record> records);
+
+  void clear() noexcept { entries_.clear(); }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
+
+  /// Snapshot rows [name, expires_at, [[type, value, ttl]...]] in name order.
+  [[nodiscard]] snapshot::Json rows_json() const;
+  /// Replaces the entries with `rows` (rows_json's layout), the capacity and
+  /// the eviction count. Returns "" on success; on error nothing changes.
+  [[nodiscard]] std::string restore(const snapshot::Json& rows, std::size_t capacity,
+                                    std::uint64_t evictions);
+
+ private:
+  struct Entry {
+    std::uint64_t expires_at = 0;
+    std::vector<store::Record> records;
+  };
+
+  void evict_expired_or_earliest(std::uint64_t now);
+
+  std::map<std::string, Entry, std::less<>> entries_;
+  std::size_t capacity_;
+  std::uint64_t evictions_ = 0;
+};
+
 class Resolver {
  public:
   /// `capacity` bounds the number of cached names (LRU-ish eviction by
   /// earliest expiry). The system reference must outlive the resolver.
   explicit Resolver(HoursSystem& system, std::size_t capacity = 1024)
-      : system_(system), capacity_(capacity) {}
+      : system_(system), cache_(capacity) {}
 
   /// Resolves `name` at client time `now` (seconds, monotone). Cached
   /// answers are served until their TTL expires.
@@ -118,11 +163,15 @@ class Resolver {
   /// Cache-only probe: returns the cached records if present and fresh,
   /// without touching the hierarchy. Does not update statistics.
   [[nodiscard]] const std::vector<store::Record>* peek(std::string_view name,
-                                                       std::uint64_t now) const;
+                                                       std::uint64_t now) const {
+    return cache_.find(name, now);
+  }
 
   /// Installs an answer obtained out of band (e.g. a comparison harness
   /// that routes through a different substrate).
-  void insert(std::string_view name, std::uint64_t now, std::vector<store::Record> records);
+  void insert(std::string_view name, std::uint64_t now, std::vector<store::Record> records) {
+    cache_.insert(name, now, std::move(records));
+  }
 
   // Backend-clock variants: `now` comes from system.now(), so cache TTLs
   // live on the same timeline as the query engine — on the event backend
@@ -148,6 +197,7 @@ class Resolver {
 
   [[nodiscard]] ResolverStats stats() const noexcept {
     ResolverStats s = stats_;
+    s.evictions = cache_.evictions();
     if (defense_ != nullptr) s.zones_flagged = defense_->zones_flagged();
     return s;
   }
@@ -164,17 +214,9 @@ class Resolver {
   [[nodiscard]] std::string from_json(const snapshot::Json& state);
 
  private:
-  struct Entry {
-    std::uint64_t expires_at = 0;
-    std::vector<store::Record> records;
-  };
-
-  void evict_expired_or_oldest(std::uint64_t now);
-
   HoursSystem& system_;
-  std::size_t capacity_;
-  std::map<std::string, Entry> cache_;
-  ResolverStats stats_;
+  AnswerCache cache_;
+  ResolverStats stats_;  ///< evictions live in cache_
   std::shared_ptr<NegativeCacheDigest> defense_;  ///< null = defense off
 };
 

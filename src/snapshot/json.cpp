@@ -165,8 +165,17 @@ class Parser {
       return false;
     }
     const char c = peek();
-    if (c == '{') return object(out);
-    if (c == '[') return array(out);
+    if (c == '{' || c == '[') {
+      // Bounded recursion: hostile input must not overflow the stack.
+      if (depth_ == kMaxJsonDepth) {
+        error_ = "nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels";
+        return false;
+      }
+      ++depth_;
+      const bool ok = c == '{' ? object(out) : array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       std::string s;
       if (!string(s)) return false;
@@ -324,6 +333,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
   std::string error_;
 };
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -77,10 +78,15 @@ class Json {
   std::variant<std::uint64_t, std::string, Array, Object> value_;
 };
 
+/// Deepest array/object nesting parse_json accepts. Every document the
+/// repository writes or ships nests far less; the bound keeps the recursive
+/// parser's stack use fixed whatever the input.
+inline constexpr std::size_t kMaxJsonDepth = 64;
+
 /// Parses text produced by Json::dump() (and any JSON restricted to the
 /// same subset: non-negative integers, strings, arrays, objects). Returns
 /// true on success; on failure fills `error` (when non-null) with a
-/// position-annotated reason.
+/// position-annotated reason. Nesting beyond kMaxJsonDepth is rejected.
 [[nodiscard]] bool parse_json(std::string_view text, Json& out, std::string* error = nullptr);
 
 /// Exact double <-> u64 bridges for storing floating-point state.

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "jobs/executor.hpp"
-#include "jobs/rcu.hpp"
 #include "jobs/sweep.hpp"
 #include "jobs/work_deque.hpp"
 
@@ -233,63 +232,6 @@ TEST(Sweep, ResultsAreThreadCountInvariant) {
   const auto serial = sweep<std::string>(one, 99, 64, draw);
   const auto parallel = sweep<std::string>(four, 99, 64, draw);
   EXPECT_EQ(serial, parallel);
-}
-
-TEST(Rcu, ReadersPinRetiredObjectsUntilExit) {
-  RcuDomain domain;
-  bool freed = false;
-  {
-    RcuDomain::ReadGuard guard{domain};
-    domain.retire([&freed] { freed = true; });
-    domain.advance_and_reclaim();
-    EXPECT_FALSE(freed);  // we are the announced reader holding the epoch
-    EXPECT_EQ(domain.pending_reclaims(), 1U);
-  }
-  domain.retire([] {});
-  domain.advance_and_reclaim();  // reader gone: both entries reclaimable
-  EXPECT_TRUE(freed);
-  EXPECT_EQ(domain.pending_reclaims(), 0U);
-}
-
-TEST(Rcu, ConcurrentReadersNeverSeeFreedMemory) {
-  // Writer keeps swapping a published value and retiring the old one;
-  // readers must always observe a live, internally consistent object.
-  struct Boxed {
-    explicit Boxed(std::uint64_t v) : a(v), b(~v) {}
-    std::uint64_t a;
-    std::uint64_t b;
-  };
-  RcuDomain domain;
-  std::atomic<const Boxed*> live{new Boxed{0}};
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        RcuDomain::ReadGuard guard{domain};
-        const Boxed* boxed = live.load(std::memory_order_seq_cst);
-        // The invariant b == ~a only holds for fully constructed, unfreed
-        // objects; TSan/ASan catch lifetime violations, this catches tearing.
-        ASSERT_EQ(boxed->b, ~boxed->a);
-        reads.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  // Keep swapping until the readers have demonstrably raced at least a few
-  // hundred reads against the churn (on a loaded single-core box the first
-  // 2000 swaps can finish before a reader is even scheduled).
-  for (std::uint64_t i = 1; i <= 2'000 || reads.load(std::memory_order_relaxed) < 500; ++i) {
-    const Boxed* old = live.load(std::memory_order_relaxed);
-    live.store(new Boxed{i}, std::memory_order_seq_cst);
-    domain.retire([old] { delete old; });
-    domain.advance_and_reclaim();
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& reader : readers) reader.join();
-  delete live.load(std::memory_order_relaxed);
-  EXPECT_GT(reads.load(), 0U);
 }
 
 }  // namespace

@@ -156,6 +156,20 @@ TEST(Resolver, EvictionPrefersExpiredThenEarliestExpiry) {
   EXPECT_NE(resolver.peek("newest", 20), nullptr);
 }
 
+TEST(Resolver, OverwriteAtCapacityNeverEvicts) {
+  // Regression: re-inserting a cached name into a full cache once evicted
+  // an unrelated entry ("b", the earliest expiry) before overwriting "a".
+  Fixture f;
+  Resolver resolver{f.sys, /*capacity=*/2};
+  resolver.insert("a", 0, {store::Record{"A", "1", 100}});
+  resolver.insert("b", 0, {store::Record{"A", "2", 50}});
+  resolver.insert("a", 1, {store::Record{"A", "3", 100}});
+  EXPECT_EQ(resolver.cached_names(), 2U);
+  EXPECT_NE(resolver.peek("a", 1), nullptr);
+  EXPECT_NE(resolver.peek("b", 1), nullptr);
+  EXPECT_EQ(resolver.stats().evictions, 0U);
+}
+
 TEST(Resolver, MultiRecordAnswerCachedUnderMinimumTtl) {
   Fixture f;
   Resolver resolver{f.sys, /*capacity=*/4};

@@ -55,6 +55,22 @@ TEST(SnapshotJson, DumpParseRoundTrip) {
   EXPECT_EQ(parsed.dump(), text);  // dump is a fixpoint: byte-deterministic
 }
 
+TEST(SnapshotJson, DeepNestingIsRejectedAtItsOffset) {
+  // Regression: the recursive parser once overflowed the stack on a
+  // 200k-deep `[[[...` document instead of rejecting it.
+  const std::string deep(200'000, '[');
+  snapshot::Json parsed;
+  std::string error;
+  EXPECT_FALSE(snapshot::parse_json(deep, parsed, &error));
+  EXPECT_EQ(error, "nesting deeper than " + std::to_string(snapshot::kMaxJsonDepth) +
+                       " levels at offset " + std::to_string(snapshot::kMaxJsonDepth));
+
+  // The deepest accepted document still parses.
+  const std::string deepest =
+      std::string(snapshot::kMaxJsonDepth, '[') + std::string(snapshot::kMaxJsonDepth, ']');
+  EXPECT_TRUE(snapshot::parse_json(deepest, parsed, &error)) << error;
+}
+
 TEST(SnapshotJson, DoubleBitsRoundTripExactly) {
   for (const double v : {0.0, 0.1, 0.25, 1.0 / 3.0, 6.62607015e-34}) {
     EXPECT_EQ(snapshot::double_from_bits(snapshot::bits_from_double(v)), v);
@@ -507,6 +523,26 @@ TEST(SnapshotReplay, ResolverCacheRoundTrips) {
   ASSERT_NE(peeked, nullptr);
   ASSERT_EQ(peeked->size(), 1U);
   EXPECT_EQ((*peeked)[0].value, "10.1.1.1");
+}
+
+TEST(SnapshotReplay, ResolverLoadRejectsDeepNesting) {
+  // A resolver state whose cache is 200k `[` fails at the parse, with the
+  // offset of the first bracket past the bound; from_json then refuses what
+  // the failed parse left, and the resolver keeps its cache.
+  HoursSystem system;
+  Resolver resolver{system, 16};
+  resolver.insert("cs.ucla", 0, {{"A", "10.1.1.1", 600}});
+
+  const std::string prefix = R"({"capacity": 16, "cache": )";
+  const std::string text = prefix + std::string(200'000, '[');
+  snapshot::Json state;
+  std::string error;
+  ASSERT_FALSE(snapshot::parse_json(text, state, &error));
+  // The object is one level, so bracket kMaxJsonDepth - 1 (0-based) is refused.
+  EXPECT_EQ(error.substr(error.find(" at offset ")),
+            " at offset " + std::to_string(prefix.size() + snapshot::kMaxJsonDepth - 1));
+  EXPECT_EQ(resolver.from_json(state), "resolver state malformed");
+  EXPECT_EQ(resolver.cached_names(), 1U);
 }
 
 }  // namespace
