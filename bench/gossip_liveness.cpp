@@ -282,7 +282,7 @@ int main(int argc, char** argv) {
   const bool quick = bench::quick_mode(argc, argv);
 
   scenario::RunOptions options;
-  if (quick) options.interval_scale = 2;
+  options.quick = quick;
 
   bool all_reproducible = true;
   bool budget_respected = true;

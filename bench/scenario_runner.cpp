@@ -10,7 +10,8 @@
 //
 // Output: <out-dir>/<scenario-name>.json per scenario plus
 // <out-dir>/scenario_matrix.json (also printed to stdout). Exit status: 0
-// when every document validated and every declared expectation held.
+// when every document validated, every report was written and every
+// declared expectation held.
 //
 // Flags:
 //   --validate-only      schema-check every document, run nothing
@@ -50,6 +51,17 @@ std::vector<std::string> expand(const std::string& arg) {
     paths.push_back(arg);
   }
   return paths;
+}
+
+/// Writes `text` plus a newline to `path`; false (with a message naming the
+/// path) when the file cannot be opened or written.
+bool write_report(const std::string& path, const std::string& text) {
+  std::ofstream out{path};
+  out << text << "\n";
+  out.close();
+  if (out) return true;
+  std::fprintf(stderr, "scenario_runner: cannot write %s\n", path.c_str());
+  return false;
 }
 
 }  // namespace
@@ -121,16 +133,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  scenario::RunOptions options;
-  if (quick) {
-    options.interval_scale = 2;
-    options.rate_divisor = 2;
+  std::error_code ec;
+  fs::create_directories(out_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "scenario_runner: cannot create --out-dir %s: %s\n", out_dir.c_str(),
+                 ec.message().c_str());
+    return 1;
   }
+
+  scenario::RunOptions options;
+  options.quick = quick;
   jobs::Executor executor{threads};
   const auto outcomes = scenario::run_matrix(scenarios, executor, options);
 
-  std::error_code ec;
-  fs::create_directories(out_dir, ec);
   std::uint64_t failed_total = 0;
   metrics::JsonWriter matrix;
   matrix.begin_object();
@@ -141,8 +156,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const auto& outcome = outcomes[i];
     const std::string report_path = out_dir + "/" + scenarios[i].name + ".json";
-    std::ofstream out{report_path};
-    out << outcome.json << "\n";
+    if (!write_report(report_path, outcome.json)) return 1;
     matrix.begin_object();
     matrix.field("scenario", scenarios[i].name);
     matrix.field("expectations_met", outcome.expectations_met);
@@ -166,8 +180,7 @@ int main(int argc, char** argv) {
   matrix.field("failed", failed_total);
   matrix.end_object();
 
-  std::ofstream matrix_out{out_dir + "/scenario_matrix.json"};
-  matrix_out << matrix.str() << "\n";
+  if (!write_report(out_dir + "/scenario_matrix.json", matrix.str())) return 1;
   std::printf("%s\n", matrix.str().c_str());
   std::printf("[scenario_runner] scenarios=%zu failed=%llu %s\n", scenarios.size(),
               static_cast<unsigned long long>(failed_total),

@@ -1,7 +1,7 @@
 // Trace-schema checker: validates a JSON-lines trace file (or stdin)
-// against the v1 event schema via trace::validate_event_line. CI runs a
-// bench with a JSONL sink and pipes the output through this; any line a
-// sink emits that the validator rejects is a schema break.
+// against the event schema via trace::validate_event_line; any line a sink
+// emits that the validator rejects is a schema break. The
+// gossip_liveness_trace_schema ctest runs it on a gossip_liveness trace.
 //
 // Usage: validate_trace [file.jsonl]   (no argument = stdin)
 // Exit: 0 all lines valid, 1 first invalid line (reported), 2 bad usage.

@@ -194,7 +194,7 @@ RunOutcome run_ring(const Scenario& sc, const RunOptions& options) {
   };
   sim.schedule(0, sample);
 
-  const std::uint64_t scale = std::max<std::uint64_t>(1, options.interval_scale);
+  const std::uint64_t scale = options.quick ? 2 : 1;
   auto dest_samplers = make_samplers(sc, cfg.size);
   auto workload_rng = std::make_shared<rng::Xoshiro256>(sc.seed);
   auto qids = std::make_shared<std::vector<std::uint64_t>>();
@@ -454,7 +454,7 @@ RunOutcome run_hierarchy(const Scenario& sc, const RunOptions& options) {
     resolve_one = [&](const std::string& name) { return serial->resolve(name); };
   }
 
-  const std::uint64_t divisor = std::max<std::uint64_t>(1, options.rate_divisor);
+  const std::uint64_t divisor = options.quick ? 2 : 1;
   auto samplers = make_samplers(sc, leaves.size());
   auto uniform_rng = std::make_shared<rng::Xoshiro256>(sc.seed);
 

@@ -10,7 +10,6 @@
 // any worker-thread count.
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -19,11 +18,12 @@
 
 namespace hours::scenario {
 
-/// Quick-mode scaling knobs (the scenario files always describe the full
-/// experiment; CI shrinks the workload, never the schedule).
+/// Per-run knobs. The scenario files always describe the full experiment;
+/// quick mode shrinks the workload, never the schedule.
 struct RunOptions {
-  std::uint64_t interval_scale = 1;  ///< ring: multiply phase intervals
-  std::uint64_t rate_divisor = 1;    ///< hierarchy: divide phase rates (min 1)
+  /// Halve the query load: ring phase intervals x2, hierarchy phase rates /2
+  /// (min 1).
+  bool quick = false;
   /// Non-empty: stream the run's full event trace to this path as JSONL
   /// (trace/jsonl_sink). Tracing never changes the run's decisions, so the
   /// report bytes are identical with or without it.

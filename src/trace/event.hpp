@@ -12,7 +12,8 @@
 //
 // The taxonomy is closed and versioned by kSchemaVersion: sinks serialize
 // events by name, and trace/event.cpp's validator checks emitted JSON lines
-// against exactly this schema (CI runs it on a real bench's output).
+// against exactly this schema (tests/scenario_test runs it on the trace of
+// every shipped scenario).
 #pragma once
 
 #include <cstdint>
@@ -22,7 +23,7 @@
 namespace hours::trace {
 
 /// Bumped whenever the Event layout or the taxonomy changes incompatibly.
-inline constexpr std::uint32_t kSchemaVersion = 1;
+inline constexpr std::uint32_t kSchemaVersion = 2;
 
 /// Sentinel for "no node" in Event::node / Event::peer.
 inline constexpr std::uint32_t kNoNode = 0xFFFFFFFFU;

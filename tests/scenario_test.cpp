@@ -1,11 +1,15 @@
 // Scenario DSL: schema validator golden corpus (accept + reject with exact
-// error paths), runner determinism across worker-thread counts, and the
-// FaultPlan::parse error-position contract the $.faults.plan clause relies
-// on.
+// error paths), runner determinism across worker-thread counts, traced runs
+// equal to untraced ones with schema-valid traces, the adaptive attacker's
+// contrast with its static schedule, and the FaultPlan::parse
+// error-position contract the $.faults.plan clause relies on.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "jobs/executor.hpp"
@@ -13,6 +17,7 @@
 #include "scenario/scenario.hpp"
 #include "sim/fault_injector.hpp"
 #include "snapshot/json.hpp"
+#include "trace/event.hpp"
 
 #ifndef HOURS_SCENARIO_DIR
 #define HOURS_SCENARIO_DIR "scenarios"
@@ -201,23 +206,36 @@ TEST(ScenarioLibrary, EveryShippedScenarioValidates) {
   }
 }
 
-TEST(ScenarioRunner, MatrixBytesAreThreadCountInvariant) {
+std::vector<scenario::Scenario> load_library() {
   std::vector<scenario::Scenario> scenarios;
   for (const auto& path : library_files()) {
     scenario::Scenario sc;
-    ASSERT_EQ(scenario::load_file(path, sc), "") << path;
-    scenarios.push_back(std::move(sc));
+    const std::string error = scenario::load_file(path, sc);
+    EXPECT_EQ(error, "") << path;
+    if (error.empty()) scenarios.push_back(std::move(sc));
   }
-  ASSERT_GE(scenarios.size(), 8u);
+  return scenarios;
+}
 
-  scenario::RunOptions quick;
-  quick.interval_scale = 2;
-  quick.rate_divisor = 2;
+/// The number right after the first `needle` in a rendered report; -1 when
+/// absent. snapshot::parse_json has no float support, so this reads the
+/// writer's deterministic formatting.
+double number_after(const std::string& json, std::string_view needle) {
+  const auto pos = json.find(needle);
+  if (pos == std::string::npos) return -1.0;
+  return std::strtod(json.c_str() + pos + needle.size(), nullptr);
+}
+
+const scenario::RunOptions kQuick{.quick = true, .trace_path = {}};
+
+TEST(ScenarioRunner, MatrixBytesAreThreadCountInvariant) {
+  const auto scenarios = load_library();
+  ASSERT_GE(scenarios.size(), 8u);
 
   std::vector<std::vector<scenario::RunOutcome>> runs;
   for (const unsigned threads : {1u, 2u, 4u}) {
     jobs::Executor executor{threads};
-    runs.push_back(scenario::run_matrix(scenarios, executor, quick));
+    runs.push_back(scenario::run_matrix(scenarios, executor, kQuick));
   }
   for (std::size_t t = 1; t < runs.size(); ++t) {
     ASSERT_EQ(runs[t].size(), runs[0].size());
@@ -228,6 +246,53 @@ TEST(ScenarioRunner, MatrixBytesAreThreadCountInvariant) {
       EXPECT_EQ(runs[t][i].expectations_met, runs[0][i].expectations_met);
     }
   }
+}
+
+TEST(ScenarioRunner, TracingNeverChangesAReportAndEveryTraceLineValidates) {
+  const auto scenarios = load_library();
+  ASSERT_GE(scenarios.size(), 8u);
+  const std::string trace_path = ::testing::TempDir() + "scenario_test_trace.jsonl";
+  scenario::RunOptions traced = kQuick;
+  traced.trace_path = trace_path;
+
+  for (const auto& sc : scenarios) {
+    const auto with_trace = scenario::run(sc, traced);
+    const auto without = scenario::run(sc, kQuick);
+    EXPECT_EQ(with_trace.json, without.json) << sc.name << ": tracing changed the report";
+
+    std::ifstream in{trace_path};
+    ASSERT_TRUE(in) << sc.name << ": no trace at " << trace_path;
+    std::string line;
+    std::string error;
+    std::size_t lines = 0;
+    while (std::getline(in, line)) {
+      ++lines;
+      ASSERT_TRUE(trace::validate_event_line(line, &error))
+          << sc.name << " line " << lines << ": " << error << "\n  " << line;
+    }
+    EXPECT_GT(lines, 0u) << sc.name << ": empty trace";
+  }
+  std::filesystem::remove(trace_path);
+}
+
+TEST(ScenarioLibrary, AdaptiveAttackerStrikesAndDepressesDeliveryFurther) {
+  // docs/OBSERVABILITY.md: with the static schedule's strike budget, chasing
+  // recovery_adopt events hurts during-attack delivery more.
+  const std::string dir = HOURS_SCENARIO_DIR;
+  scenario::Scenario fixed_doc;
+  scenario::Scenario adaptive_doc;
+  ASSERT_EQ(scenario::load_file(dir + "/adaptive_static.json", fixed_doc), "");
+  ASSERT_EQ(scenario::load_file(dir + "/adaptive_restrike.json", adaptive_doc), "");
+  const auto fixed = scenario::run(fixed_doc, kQuick);
+  const auto adaptive = scenario::run(adaptive_doc, kQuick);
+  EXPECT_GT(number_after(adaptive.json, "\"strikes_launched\":"), 0.0)
+      << "the adaptive attacker never struck";
+  constexpr std::string_view kDuring = "\"during\":{\"delivery_ratio\":";
+  const double during_static = number_after(fixed.json, kDuring);
+  const double during_adaptive = number_after(adaptive.json, kDuring);
+  ASSERT_GE(during_static, 0.0);
+  ASSERT_GE(during_adaptive, 0.0);
+  EXPECT_LT(during_adaptive, during_static);
 }
 
 TEST(ScenarioRunner, RunIsByteReproducibleAndReportsFailures) {

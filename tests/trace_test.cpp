@@ -1,9 +1,11 @@
-// Tests for the src/trace subsystem: event taxonomy round-trips, the JSONL
-// wire format against golden strings (with the validator as the other side
-// of the contract), ring-buffer wrap and subscriber dispatch, Chrome
-// trace_event export, and registry determinism.
+// Tests for the src/trace subsystem: event taxonomy round-trips and its
+// documentation, the JSONL wire format against golden strings (with the
+// validator as the other side of the contract), ring-buffer wrap and
+// subscriber dispatch, Chrome trace_event export, and registry determinism.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +16,10 @@
 #include "trace/registry.hpp"
 #include "trace/ring_buffer_sink.hpp"
 #include "trace/sink.hpp"
+
+#ifndef HOURS_DOCS_DIR
+#define HOURS_DOCS_DIR "docs"
+#endif
 
 namespace {
 
@@ -37,6 +43,36 @@ TEST(EventTaxonomy, UnknownNamesRejected) {
   EXPECT_FALSE(event_type_from_name("", out));
   EXPECT_FALSE(event_type_from_name("not_an_event", out));
   EXPECT_FALSE(event_type_from_name("Probe_Sent", out));  // case-sensitive
+}
+
+TEST(EventTaxonomy, ObservabilityDocListsExactlyTheCodeTaxonomy) {
+  // In the doc's taxonomy section every list item names its types as
+  // backticked tokens before the " — " that starts the description; field
+  // names such as `node` or `value` only appear after it.
+  std::ifstream in{std::string{HOURS_DOCS_DIR} + "/OBSERVABILITY.md"};
+  ASSERT_TRUE(in);
+  std::set<std::string> documented;
+  bool in_taxonomy = false;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.starts_with("#")) {
+      in_taxonomy = line.starts_with("### Taxonomy");
+      continue;
+    }
+    if (!in_taxonomy || !line.starts_with("- ")) continue;
+    const std::string head = line.substr(0, line.find(" — "));
+    for (auto open = head.find('`'); open != std::string::npos;) {
+      const auto close = head.find('`', open + 1);
+      if (close == std::string::npos) break;
+      documented.insert(head.substr(open + 1, close - open - 1));
+      open = head.find('`', close + 1);
+    }
+  }
+  std::set<std::string> code;
+  for (std::size_t i = 0; i < kEventTypeCount; ++i) {
+    code.insert(std::string{event_type_name(static_cast<EventType>(i))});
+  }
+  EXPECT_EQ(documented, code);
 }
 
 // -- JSONL wire format (golden) ----------------------------------------------
