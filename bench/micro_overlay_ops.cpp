@@ -6,12 +6,16 @@
 // within noise (<= 2%) of the untraced BM_ForwardEager loop. The BM_Sim*
 // group reports events/sec through the arena-backed wheel (items/sec in the
 // benchmark output) plus peak RSS, the scale metrics ISSUE-level runs track.
+// BM_AnswerCacheInsertAtCapacity tracks how the resolver cache's
+// insert-with-eviction cost scales with the number of cached names.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "baseline/chord.hpp"
 #include "bench_util.hpp"
+#include "hours/resolver.hpp"
 #include "overlay/overlay.hpp"
 #include "overlay/table_builder.hpp"
 #include "rng/pointer_sampler.hpp"
@@ -199,6 +203,29 @@ void BM_SimHierQuery(benchmark::State& state) {
       static_cast<double>(hours::bench::peak_rss_bytes()) / (1024.0 * 1024.0);
 }
 BENCHMARK(BM_SimHierQuery)->Range(1024, 1 << 16);
+
+/// Inserts of new names into a full answer cache of `n` names, so every
+/// insert evicts one victim: the cost a cache miss pays in Resolver and in
+/// each ConcurrentResolver shard. The clock stays at 0, so nothing expires
+/// and the victim is always the earliest expiry; TTLs come from a small set,
+/// so expiry ties are common.
+void BM_AnswerCacheInsertAtCapacity(benchmark::State& state) {
+  const auto n = static_cast<std::uint64_t>(state.range(0));
+  AnswerCache cache{n};
+  rng::Xoshiro256 rng{0xCAC4Eu};
+  const auto answer = [&rng] {
+    return std::vector<store::Record>{store::Record{"A", "10.0.0.1", 60 * (1 + rng.below(8))}};
+  };
+  std::uint64_t next = 0;
+  for (; next < n; ++next) cache.insert("n" + std::to_string(next), 0, answer());
+  for (auto _ : state) {
+    cache.insert("n" + std::to_string(next++), 0, answer());
+  }
+  benchmark::DoNotOptimize(cache.evictions());
+  HOURS_ASSERT(cache.evictions() == static_cast<std::uint64_t>(state.iterations()));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_AnswerCacheInsertAtCapacity)->Range(1 << 10, 1 << 20);
 
 void BM_ChordRoute(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

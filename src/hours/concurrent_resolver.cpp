@@ -38,9 +38,9 @@ ConcurrentResolver::Shard& ConcurrentResolver::shard_of(std::string_view name) c
 }
 
 bool ConcurrentResolver::probe(const Shard& shard, std::string_view name, std::uint64_t now,
-                               std::vector<store::Record>* out) {
+                               std::vector<store::Record>* out, bool* stale) {
   std::shared_lock lock{shard.mutex};
-  const auto* records = shard.cache.find(name, now);
+  const auto* records = shard.cache.find(name, now, stale);
   if (records == nullptr) return false;
   if (out != nullptr) *out = *records;  // copy while the lock pins the entry
   return true;
@@ -49,13 +49,14 @@ bool ConcurrentResolver::probe(const Shard& shard, std::string_view name, std::u
 ResolveResult ConcurrentResolver::resolve(std::string_view name, std::uint64_t now) {
   ResolveResult result;
   Shard& shard = shard_of(name);
-  if (probe(shard, name, now, &result.records)) {
+  bool stale = false;
+  if (probe(shard, name, now, &result.records, &stale)) {
     shard.hits.fetch_add(1, std::memory_order_relaxed);
     result.answered = true;
     result.from_cache = true;
     return result;
   }
-  {
+  if (stale) {  // only a stale entry needs the exclusive lock
     std::unique_lock lock{shard.mutex};
     shard.cache.drop_expired(name, now);
   }

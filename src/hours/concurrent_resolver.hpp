@@ -9,6 +9,10 @@
 //     std::shared_mutex. A cache hit probes under the shared lock and
 //     copies the records out, so hits on one shard run in parallel;
 //     inserts, evictions and expired-entry drops take the exclusive lock.
+//     A miss takes it before the authority path only when its probe saw a
+//     stale entry to drop.
+//   * An insert at capacity evicts through the core's (expiry, name) index:
+//     O(log shard) per victim, with no scan of the shard.
 //   * The miss path funnels into the single-threaded HoursSystem under one
 //     authority mutex — concurrency lives in front of the hierarchy, never
 //     inside one query.
@@ -93,15 +97,19 @@ class ConcurrentResolver {
     explicit Shard(std::size_t capacity) : cache(capacity) {}
     mutable std::shared_mutex mutex;  ///< shared: probes; exclusive: writes
     AnswerCache cache;
-    std::atomic<std::uint64_t> hits{0};
+    // Every hit bumps `hits`; its own cache line keeps those writes off the
+    // line holding the map's root pointer, which every probe reads.
+    alignas(64) std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
     std::atomic<std::uint64_t> failures{0};
     std::atomic<std::uint64_t> refusals{0};
   };
 
   [[nodiscard]] Shard& shard_of(std::string_view name) const;
+  /// Copies the fresh records for `name` into `*out` under the shared lock;
+  /// `*stale` (when given) reports a cached but stale entry.
   [[nodiscard]] static bool probe(const Shard& shard, std::string_view name, std::uint64_t now,
-                                  std::vector<store::Record>* out);
+                                  std::vector<store::Record>* out, bool* stale = nullptr);
 
   HoursSystem& system_;
   std::mutex system_mutex_;  ///< the single-consumer authority path

@@ -150,9 +150,13 @@ QueryResult HoursSystem::finish_query(std::uint64_t qid, QueryResult result) {
 }
 
 QueryResult HoursSystem::query(std::string_view dest_name, bool record_path) {
+  return query_parsed(parse_name(dest_name), record_path);
+}
+
+QueryResult HoursSystem::query_parsed(const util::Result<naming::Name>& parsed,
+                                      bool record_path) {
   const std::uint64_t qid = next_qid_++;
   queries_submitted_.inc();
-  auto parsed = parse_name(dest_name);
   if (!parsed.ok()) return finish_query(qid, failed(parsed.error().code));
   HOURS_TRACE_EMIT(trace_, {.at = stamp(), .type = trace::EventType::kQuerySubmit,
                             .level = static_cast<std::int32_t>(parsed.value().depth()),
@@ -185,12 +189,10 @@ util::Result<naming::Name> HoursSystem::add_record(std::string_view name, store:
 }
 
 HoursSystem::LookupResult HoursSystem::lookup(std::string_view name) {
+  const auto parsed = parse_name(name);
   LookupResult result;
-  result.query = query(name);
-  if (result.query.delivered) {
-    auto parsed = parse_name(name);
-    if (parsed.ok()) result.records = records_.records_at(parsed.value());
-  }
+  result.query = query_parsed(parsed, /*record_path=*/false);
+  if (result.query.delivered) result.records = records_.records_at(parsed.value());
   return result;
 }
 

@@ -171,6 +171,9 @@ class HoursSystem {
   [[nodiscard]] const trace::Registry& registry() const noexcept { return registry_; }
 
  private:
+  /// query() after the name is parsed; a parse failure is counted as a
+  /// failed query.
+  QueryResult query_parsed(const util::Result<naming::Name>& parsed, bool record_path);
   /// Counts the outcome, emits kQueryDelivered/kQueryFailed, returns `result`.
   QueryResult finish_query(std::uint64_t qid, QueryResult result);
   /// The configuration echo stored in (and verified against) a snapshot.

@@ -52,40 +52,51 @@ std::uint64_t NegativeCacheDigest::zones_flagged() const {
   return zones_flagged_;
 }
 
-const std::vector<store::Record>* AnswerCache::find(std::string_view name,
-                                                   std::uint64_t now) const {
+const std::vector<store::Record>* AnswerCache::find(std::string_view name, std::uint64_t now,
+                                                   bool* stale) const {
   const auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.expires_at <= now) return nullptr;
+  const bool expired = it != entries_.end() && it->second.expires_at <= now;
+  if (stale != nullptr) *stale = expired;
+  if (it == entries_.end() || expired) return nullptr;
   return &it->second.records;
 }
 
 void AnswerCache::drop_expired(std::string_view name, std::uint64_t now) {
   const auto it = entries_.find(name);
-  if (it != entries_.end() && it->second.expires_at <= now) entries_.erase(it);
+  if (it == entries_.end() || it->second.expires_at > now) return;
+  by_expiry_.erase({it->second.expires_at, it->first});
+  entries_.erase(it);
 }
 
 void AnswerCache::insert(std::string_view name, std::uint64_t now,
                          std::vector<store::Record> records) {
-  Entry entry{now + answer_min_ttl(records), std::move(records)};
+  const std::uint64_t expires_at = now + answer_min_ttl(records);
   if (const auto it = entries_.find(name); it != entries_.end()) {
-    it->second = std::move(entry);  // an overwrite never evicts
+    // An overwrite never evicts; it only moves the entry in the index.
+    by_expiry_.erase({it->second.expires_at, it->first});
+    it->second = Entry{expires_at, std::move(records)};
+    index(it);
     return;
   }
   if (entries_.size() >= capacity_) evict_expired_or_earliest(now);
-  entries_.emplace(std::string{name}, std::move(entry));
+  index(entries_.emplace(std::string{name}, Entry{expires_at, std::move(records)}).first);
+}
+
+void AnswerCache::index(Entries::iterator it) {
+  by_expiry_.emplace(std::pair{it->second.expires_at, std::string_view{it->first}}, it);
 }
 
 void AnswerCache::evict_expired_or_earliest(std::uint64_t now) {
   // Drop everything expired; if nothing is, drop the entry closest to
-  // expiry. Linear scan: caches (and shards) are small.
-  const auto before = entries_.size();
-  std::erase_if(entries_, [now](const auto& kv) { return kv.second.expires_at <= now; });
-  evictions_ += before - entries_.size();
-  if (entries_.size() < before || entries_.empty()) return;
-  entries_.erase(std::min_element(
-      entries_.begin(), entries_.end(),
-      [](const auto& a, const auto& b) { return a.second.expires_at < b.second.expires_at; }));
-  ++evictions_;
+  // expiry. Both sit at the front of the (expiry, name) index.
+  if (by_expiry_.empty()) return;
+  const bool any_expired = by_expiry_.begin()->first.first <= now;
+  do {
+    const auto victim = by_expiry_.begin()->second;
+    by_expiry_.erase(by_expiry_.begin());
+    entries_.erase(victim);
+    ++evictions_;
+  } while (any_expired && !by_expiry_.empty() && by_expiry_.begin()->first.first <= now);
 }
 
 snapshot::Json AnswerCache::rows_json() const {
@@ -102,7 +113,7 @@ snapshot::Json AnswerCache::rows_json() const {
 std::string AnswerCache::restore(const snapshot::Json& rows, std::size_t capacity,
                                  std::uint64_t evictions) {
   if (!rows.is_array()) return "resolver.cache malformed";
-  std::map<std::string, Entry, std::less<>> restored;
+  Entries restored;
   for (const auto& raw : rows.items()) {
     if (!raw.is_array() || raw.items().size() != 3 || !raw.items()[0].is_string() ||
         !raw.items()[1].is_u64() || !raw.items()[2].is_array()) {
@@ -124,6 +135,8 @@ std::string AnswerCache::restore(const snapshot::Json& rows, std::size_t capacit
     restored[raw.items()[0].as_string()] = std::move(entry);
   }
   entries_ = std::move(restored);
+  by_expiry_.clear();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) index(it);
   capacity_ = capacity;
   evictions_ = evictions;
   return "";

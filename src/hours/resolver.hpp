@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "hours/hours.hpp"
@@ -104,16 +105,24 @@ struct ResolveResult {
 /// name -> (expiry, records) map under a capacity bound, with the one copy
 /// of the caching rules: answers age by their minimum record TTL, a lookup never
 /// mutates, an overwrite never evicts, and a new name at capacity first
-/// drops every expired entry, else the entry closest to expiry. Ordered so
-/// snapshot rows are byte-deterministic.
+/// drops every expired entry, else the entry closest to expiry (ties go to
+/// the smallest name). Ordered so snapshot rows are byte-deterministic.
+/// Beside the map sits an index ordered by (expiry, name) that points at
+/// each entry, so an eviction pops victims off its front in O(log n) each
+/// instead of scanning the map.
 class AnswerCache {
  public:
   explicit AnswerCache(std::size_t capacity) : capacity_(capacity) {}
+  // The index points into the map, so a member-wise copy would point into
+  // the source.
+  AnswerCache(const AnswerCache&) = delete;
+  AnswerCache& operator=(const AnswerCache&) = delete;
 
   /// The cached records for `name` while fresh at `now` (expiry is
-  /// exclusive), else null. The pointer lives until the next mutation.
-  [[nodiscard]] const std::vector<store::Record>* find(std::string_view name,
-                                                       std::uint64_t now) const;
+  /// exclusive), else null. The pointer lives until the next mutation. When
+  /// `stale` is given it is set to whether a stale entry for `name` is cached.
+  [[nodiscard]] const std::vector<store::Record>* find(std::string_view name, std::uint64_t now,
+                                                       bool* stale = nullptr) const;
 
   /// Drops `name` if it is cached and stale at `now` — the miss path's
   /// cleanup, which is not an eviction.
@@ -124,7 +133,10 @@ class AnswerCache {
   /// existence checks still benefit.
   void insert(std::string_view name, std::uint64_t now, std::vector<store::Record> records);
 
-  void clear() noexcept { entries_.clear(); }
+  void clear() noexcept {
+    by_expiry_.clear();
+    entries_.clear();
+  }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::uint64_t evictions() const noexcept { return evictions_; }
@@ -142,9 +154,16 @@ class AnswerCache {
     std::vector<store::Record> records;
   };
 
-  void evict_expired_or_earliest(std::uint64_t now);
+  using Entries = std::map<std::string, Entry, std::less<>>;
 
-  std::map<std::string, Entry, std::less<>> entries_;
+  void evict_expired_or_earliest(std::uint64_t now);
+  /// Adds the map entry `it` to the expiry index.
+  void index(Entries::iterator it);
+
+  Entries entries_;
+  /// (expires_at, name) -> entry, for every entry; the name views the map
+  /// key, which stays put for the life of its map node.
+  std::map<std::pair<std::uint64_t, std::string_view>, Entries::iterator> by_expiry_;
   std::size_t capacity_;
   std::uint64_t evictions_ = 0;
 };

@@ -33,6 +33,10 @@ class RoutingTable {
   [[nodiscard]] ids::RingIndex owner() const noexcept { return owner_; }
   [[nodiscard]] std::uint32_t ring_size() const noexcept { return ring_size_; }
 
+  /// Sizes the entry storage for `count` entries, so a table built with a
+  /// known entry count holds no growth slack.
+  void reserve(std::size_t count) { entries_.reserve(count); }
+
   /// Adds an entry; entries must be inserted in increasing clockwise
   /// distance from the owner (the builder guarantees this).
   void add_entry(TableEntry entry);

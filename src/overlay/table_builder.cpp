@@ -18,6 +18,7 @@ RoutingTable build_routing_table(std::uint32_t ring_size, ids::RingIndex owner,
   const std::uint32_t k_eff = params.effective_k();
 
   const auto distances = rng::sample_pointer_distances(ring_size, k_eff, rng);
+  table.reserve(distances.size());
   for (const std::uint32_t d : distances) {
     TableEntry entry;
     entry.sibling = ids::clockwise_step(owner, d, ring_size);

@@ -2,7 +2,14 @@
 // (Section 7's caching discussion).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "hours/resolver.hpp"
+#include "rng/xoshiro256.hpp"
 
 namespace hours {
 namespace {
@@ -313,6 +320,132 @@ TEST(Resolver, ServesThroughCoordinatedStrike) {
   const auto healed = f.sys.query("a.red");
   ASSERT_TRUE(healed.delivered);
   EXPECT_EQ(healed.overlay_hops, 0U);
+}
+
+
+/// The eviction policy as a linear scan over the name map: drop every
+/// expired entry, else the min_element by expiry (ties to the smallest
+/// name, the first in name order). AnswerCache must choose the same
+/// victims through its expiry index.
+class LinearScanCache {
+ public:
+  explicit LinearScanCache(std::size_t capacity) : capacity_(capacity) {}
+
+  const std::vector<store::Record>* find(const std::string& name, std::uint64_t now) const {
+    const auto it = entries_.find(name);
+    if (it == entries_.end() || it->second.first <= now) return nullptr;
+    return &it->second.second;
+  }
+  void drop_expired(const std::string& name, std::uint64_t now) {
+    const auto it = entries_.find(name);
+    if (it != entries_.end() && it->second.first <= now) entries_.erase(it);
+  }
+  void insert(const std::string& name, std::uint64_t now, std::vector<store::Record> records) {
+    std::uint64_t ttl = 60;
+    if (!records.empty()) {
+      ttl = std::min_element(records.begin(), records.end(), [](const auto& a, const auto& b) {
+              return a.ttl < b.ttl;
+            })->ttl;
+    }
+    if (const auto it = entries_.find(name); it != entries_.end()) {
+      it->second = {now + ttl, std::move(records)};
+      return;
+    }
+    if (entries_.size() >= capacity_) {
+      const auto before = entries_.size();
+      std::erase_if(entries_, [now](const auto& kv) { return kv.second.first <= now; });
+      evictions_ += before - entries_.size();
+      if (entries_.size() == before && !entries_.empty()) {
+        entries_.erase(std::min_element(
+            entries_.begin(), entries_.end(),
+            [](const auto& a, const auto& b) { return a.second.first < b.second.first; }));
+        ++evictions_;
+      }
+    }
+    entries_.emplace(name, std::make_pair(now + ttl, std::move(records)));
+  }
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
+  [[nodiscard]] std::string rows_dump() const {
+    using snapshot::Json;
+    Json::Array rows;
+    for (const auto& [name, entry] : entries_) {
+      Json::Array records;
+      for (const auto& r : entry.second) records.emplace_back(Json::Array{r.type, r.value, r.ttl});
+      rows.emplace_back(Json::Array{name, entry.first, std::move(records)});
+    }
+    return Json(std::move(rows)).dump();
+  }
+
+ private:
+  std::map<std::string, std::pair<std::uint64_t, std::vector<store::Record>>> entries_;
+  std::size_t capacity_;
+  std::uint64_t evictions_ = 0;
+};
+
+TEST(AnswerCache, MatchesLinearScanPolicyOnRandomTrace) {
+  // One seeded trace of inserts (new and cached names), drop_expired and
+  // find, with TTLs from a small set so expiry ties are common and a
+  // rows_json -> restore round trip halfway through.
+  constexpr std::size_t kCapacity = 32;
+  constexpr int kOps = 60'000;
+  constexpr std::uint64_t kTtls[] = {3, 5, 8, 60};
+  AnswerCache cache{kCapacity};
+  LinearScanCache oracle{kCapacity};
+  rng::Xoshiro256 rng{20260417};
+  std::uint64_t now = 0;
+  for (int op = 0; op < kOps; ++op) {
+    now += rng.below(3);
+    const std::string name = "n" + std::to_string(rng.below(96));
+    const auto kind = rng.below(10);
+    if (kind < 6) {
+      std::vector<store::Record> records;
+      const auto count = rng.below(3);  // 0 records -> the 60s existence TTL
+      for (std::uint64_t i = 0; i < count; ++i) {
+        records.push_back(store::Record{"A", std::to_string(op), kTtls[rng.below(4)]});
+      }
+      cache.insert(name, now, records);
+      oracle.insert(name, now, std::move(records));
+    } else if (kind < 8) {
+      cache.drop_expired(name, now);
+      oracle.drop_expired(name, now);
+    } else {
+      const auto* got = cache.find(name, now);
+      const auto* want = oracle.find(name, now);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want) << "op " << op;
+      }
+    }
+    if (op == kOps / 2) {
+      ASSERT_EQ(cache.restore(cache.rows_json(), kCapacity, cache.evictions()), "");
+    }
+    ASSERT_EQ(cache.rows_json().dump(), oracle.rows_dump()) << "op " << op;
+    ASSERT_EQ(cache.evictions(), oracle.evictions()) << "op " << op;
+  }
+  EXPECT_GT(cache.evictions(), 1000U);  // the trace really runs at capacity
+}
+
+TEST(AnswerCache, RestoreRebuildsExpiryIndex) {
+  // Restoring into a full cache must replace the eviction order too: the
+  // next insert's victim is the restored entry closest to expiry, not one
+  // of the entries the restore replaced.
+  AnswerCache cache{3};
+  cache.insert("old1", 0, {store::Record{"A", "1", 10}});
+  cache.insert("old2", 0, {store::Record{"A", "2", 20}});
+  cache.insert("old3", 0, {store::Record{"A", "3", 30}});
+  snapshot::Json rows;
+  ASSERT_TRUE(snapshot::parse_json(
+      R"([["r1",300,[["A","x",300]]],["r2",100,[["A","y",100]]],["r3",200,[["A","z",200]]]])",
+      rows));
+  ASSERT_EQ(cache.restore(rows, 3, 0), "");
+
+  cache.insert("fresh", 50, {store::Record{"A", "4", 500}});
+  EXPECT_EQ(cache.evictions(), 1U);
+  EXPECT_EQ(cache.size(), 3U);
+  EXPECT_EQ(cache.find("r2", 50), nullptr);
+  EXPECT_NE(cache.find("r1", 50), nullptr);
+  EXPECT_NE(cache.find("r3", 50), nullptr);
+  EXPECT_NE(cache.find("fresh", 50), nullptr);
 }
 
 }  // namespace
